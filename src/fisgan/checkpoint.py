@@ -10,6 +10,7 @@ from the stored iteration.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -21,6 +22,12 @@ from .train import TrainConfig, TrainState, init_state
 
 MAGIC = b"FISG"
 VERSION = 1
+# every header carries these keys; "flow_adam_step" joins them when "flow" is set
+HEADER_KEYS = (
+    "config", "experiment", "iteration", "refresh_count", "refresh_ms_total",
+    "model_rng", "data_rng", "adam_g_step", "adam_d_step", "out_mid",
+    "out_half", "flow",
+)
 
 
 def _flow_structure(flow):
@@ -53,11 +60,22 @@ def _adam_arrays(prefix, state):
     return out
 
 
-def _dense_from(arrays, prefix, template_layer):
-    w = arrays[f"{prefix}.w"]
-    b = arrays[f"{prefix}.b"]
-    template_layer.weights[...] = w
-    template_layer.bias[...] = b
+def _restore(target, arrays, name, path):
+    stored = arrays.get(name)
+    if stored is None or stored.shape != target.shape:
+        raise FormatError(f"{path}: tensor {name!r} is missing or has the wrong shape")
+    target[...] = stored
+
+
+def _adam_from(arrays, prefix, adam, path):
+    for k, (m, v) in enumerate(zip(adam.m, adam.v)):
+        _restore(m, arrays, f"{prefix}.m{k}", path)
+        _restore(v, arrays, f"{prefix}.v{k}", path)
+
+
+def _dense_from(arrays, prefix, template_layer, path):
+    _restore(template_layer.weights, arrays, f"{prefix}.w", path)
+    _restore(template_layer.bias, arrays, f"{prefix}.b", path)
 
 
 def save_checkpoint(path, state: TrainState, experiment=None):
@@ -104,7 +122,7 @@ def save_checkpoint(path, state: TrainState, experiment=None):
             fh.write(arr.tobytes())
 
 
-def _rebuild_flow(meta, config, arrays):
+def _rebuild_flow(meta, config, arrays, path):
     # structure comes from the header; weights overwrite the scratch init
     scratch = np.random.default_rng(0)
     rebuilt_layers = []
@@ -129,55 +147,99 @@ def _rebuild_flow(meta, config, arrays):
             )
     model = flows.FlowModel(rebuilt_layers, meta["dim"], meta["kind"])
     for k, p in enumerate(model.parameters()):
-        p[...] = arrays[f"flow.p{k}"]
+        _restore(p, arrays, f"flow.p{k}", path)
     return model
 
 
-def load_checkpoint(path, dataset):
-    """Rebuild a TrainState ready to resume; returns (state, experiment)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _span(blob, offset, size, path, what):
+    """End of the size-byte field at offset; FormatError if the file ends first."""
+    end = offset + size
+    if end > len(blob):
+        raise FormatError(f"{path}: truncated {what} at offset {offset}")
+    return end
+
+
+def _unpack(fmt, blob, offset, path, what):
+    end = _span(blob, offset, struct.calcsize(fmt), path, what)
+    return struct.unpack_from(fmt, blob, offset), end
+
+
+def read_header(blob, path):
+    """Validate the checkpoint bytes up to the end of the JSON header.
+
+    Returns (header dict, offset of the tensor section).  A bad magic,
+    version or length, a header that is not a JSON object, and a missing
+    or unknown header key all raise FormatError.
+    """
     if blob[:4] != MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    version, header_len = struct.unpack_from("<II", blob, 4)
+    (version, header_len), offset = _unpack("<II", blob, 4, path, "header length")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    end = _span(blob, offset, header_len, path, "header")
     try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(blob[offset:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"{path}: corrupt checkpoint header: {err}") from err
-    offset = 12 + header_len
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header is not a JSON object")
+    expected = set(HEADER_KEYS)
+    if header.get("flow") is not None:
+        expected.add("flow_adam_step")
+    missing = sorted(expected - header.keys())
+    unknown = sorted(header.keys() - expected)
+    if missing or unknown:
+        raise FormatError(
+            f"{path}: checkpoint header keys missing {missing}, unknown {unknown}"
+        )
+    return header, end
+
+
+def _read_tensors(blob, offset, path):
+    (count,), offset = _unpack("<I", blob, offset, path, "tensor count")
     arrays = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        arrays[name] = arr.copy()
+        (name_len,), offset = _unpack("<H", blob, offset, path, "tensor name length")
+        end = _span(blob, offset, name_len, path, "tensor name")
+        try:
+            name = blob[offset:end].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: corrupt tensor name at offset {offset}") from err
+        offset = end
+        (ndim,), offset = _unpack("<B", blob, offset, path, "tensor rank")
+        shape, offset = _unpack(f"<{ndim}I", blob, offset, path, "tensor shape")
+        size = math.prod(shape)
+        end = _span(blob, offset, 8 * size, path, f"tensor {name!r}")
+        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
+        arrays[name] = arr.reshape(shape).copy()
+        offset = end
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+    return arrays
 
-    config = TrainConfig(**header["config"])
+
+def load_checkpoint(path, dataset, blob=None):
+    """Rebuild a TrainState ready to resume; returns (state, experiment).
+
+    blob, when given, is the file's content already read by the caller.
+    """
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    header, offset = read_header(blob, path)
+    arrays = _read_tensors(blob, offset, path)
+
+    try:
+        config = TrainConfig(**header["config"])
+    except TypeError as err:
+        raise FormatError(f"{path}: corrupt config in checkpoint header: {err}") from err
     state = init_state(config, dataset)
     for k, layer in enumerate(state.gen.layers):
-        _dense_from(arrays, f"g.l{k}", layer)
+        _dense_from(arrays, f"g.l{k}", layer, path)
     for k, layer in enumerate(state.disc.layers):
-        _dense_from(arrays, f"d.l{k}", layer)
-    for k in range(len(state.adam_g.m)):
-        state.adam_g.m[k][...] = arrays[f"adam_g.m{k}"]
-        state.adam_g.v[k][...] = arrays[f"adam_g.v{k}"]
-    for k in range(len(state.adam_d.m)):
-        state.adam_d.m[k][...] = arrays[f"adam_d.m{k}"]
-        state.adam_d.v[k][...] = arrays[f"adam_d.v{k}"]
+        _dense_from(arrays, f"d.l{k}", layer, path)
+    _adam_from(arrays, "adam_g", state.adam_g, path)
+    _adam_from(arrays, "adam_d", state.adam_d, path)
     state.adam_g.step = header["adam_g_step"]
     state.adam_d.step = header["adam_d_step"]
     state.model_rng.bit_generator.state = header["model_rng"]
@@ -188,10 +250,8 @@ def load_checkpoint(path, dataset):
     state.out_mid = header["out_mid"]
     state.out_half = header["out_half"]
     if header["flow"] is not None:
-        state.flow = _rebuild_flow(header["flow"], config, arrays)
+        state.flow = _rebuild_flow(header["flow"], config, arrays, path)
         state.flow_adam = flows.flow_adam(state.flow, lr=config.lr_flow)
-        for k in range(len(state.flow_adam.m)):
-            state.flow_adam.m[k][...] = arrays[f"adam_f.m{k}"]
-            state.flow_adam.v[k][...] = arrays[f"adam_f.v{k}"]
+        _adam_from(arrays, "adam_f", state.flow_adam, path)
         state.flow_adam.step = header["flow_adam_step"]
     return state, header.get("experiment")

@@ -189,26 +189,19 @@ def cmd_eval(args):
     dataset_cfg = None
     if args.config:
         dataset_cfg = config_mod.load_experiment(args.config)
-    # first parse only the header to recover the embedded experiment
+    with open(args.checkpoint, "rb") as fh:
+        blob = fh.read()
     probe_cfg = dataset_cfg
     if probe_cfg is None:
-        import struct
-
-        with open(args.checkpoint, "rb") as fh:
-            blob = fh.read(12)
-        if blob[:4] != checkpoint.MAGIC:
-            raise FormatError(f"{args.checkpoint}: bad checkpoint magic {blob[:4]!r}")
-        with open(args.checkpoint, "rb") as fh:
-            full = fh.read()
-        _, header_len = struct.unpack_from("<II", full, 4)
-        header = json.loads(full[12 : 12 + header_len])
-        if not header.get("experiment"):
+        # the header's experiment echo names the dataset to rebuild
+        header, _ = checkpoint.read_header(blob, args.checkpoint)
+        if not header["experiment"]:
             raise ConfigError(
                 "checkpoint carries no experiment echo; pass --config"
             )
         probe_cfg = config_mod.experiment_from_dict(header["experiment"])
     dataset = config_mod.build_dataset(probe_cfg)
-    state, _ = checkpoint.load_checkpoint(args.checkpoint, dataset)
+    state, _ = checkpoint.load_checkpoint(args.checkpoint, dataset, blob=blob)
     n = args.samples
     if n < 2:
         raise ConfigError("need at least 2 samples to fit moments")
@@ -221,7 +214,7 @@ def cmd_eval(args):
         z = flows.sample(state.flow, n, rng)
     else:
         z = rng.standard_normal((n, state.config.latent_dim))
-    samples, _ = train.gen_forward(state, z)
+    samples = train.gen_predict(state, z)
     real = ctx.real_subset[: max(2, min(n, ctx.real_subset.shape[0]))]
     fid = metrics.proxy_fid(samples, real, ctx.extractor, ridge=options.ridge)
     print(f"proxy_fid {fid:.12g} ({n} generated vs {real.shape[0]} real)")

@@ -106,8 +106,13 @@ def load_idx(images_path, labels_path=None):
             f"{images_path}: payload holds {len(payload)} bytes, "
             f"header promises {expected} at offset 16"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    samples = pixels.reshape(count, rows * cols) / 255.0 * 2.0 - 1.0
+    # scaled in place: the same operations in the same order as
+    # pixels / 255.0 * 2.0 - 1.0, without its two float64 temporaries
+    samples = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+    samples = samples.reshape(count, rows * cols)
+    samples /= 255.0
+    samples *= 2.0
+    samples -= 1.0
 
     labels = None
     if labels_path is not None:

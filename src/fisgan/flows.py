@@ -201,9 +201,12 @@ class AutoregressiveLayer:
     def _generate(self, u):
         """Sequential inverse of _normalize, one degree at a time."""
         w = np.zeros_like(u)
+        d = self.dim
         for i in self.degree_order:
-            mu, s, _, _ = self._params(w)
-            w[:, i] = u[:, i] * np.exp(s[:, i]) + mu[:, i]
+            # only columns i (shift) and d+i (scale) of the net output are used
+            out = nn.predict(self.net, w)
+            s_i = self.scale_clamp * np.tanh(out[:, d + i])
+            w[:, i] = u[:, i] * np.exp(s_i) + out[:, i]
         return w
 
     # --- density-direction (forward) passes -------------------------------

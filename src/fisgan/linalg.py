@@ -1,18 +1,9 @@
-"""Dense symmetric eigensolver, singular values, and PSD square root.
-
-Everything is built on a cyclic Jacobi rotation sweep: deterministic,
-accurate, and fast enough for the dimensions this project touches
-(covariances and Gram matrices up to a few hundred).
-"""
-
-from __future__ import annotations
+"""Symmetric eigendecomposition, singular values and PSD square root,
+all on LAPACK's symmetric eigensolver (``np.linalg.eigh``)."""
 
 import numpy as np
 
 from .errors import ConvergenceError, NotPsdError, ShapeError
-
-_MAX_SWEEPS = 100
-_OFF_TOL = 1e-12  # relative to the Frobenius norm of the input
 
 
 def check_symmetric(a, tol=1e-12):
@@ -28,99 +19,35 @@ def check_symmetric(a, tol=1e-12):
     return 0.5 * (a + a.T)
 
 
-def _offdiag_norm(a):
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off * off).sum()))
-
-
 def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues descending, eigenvector matrix with matching
-    columns).  Sweeps until the off-diagonal Frobenius norm drops below
-    1e-12 times the input Frobenius norm, capped at 100 sweeps.
-    """
-    a = check_symmetric(a)
-    n = a.shape[0]
-    if n == 1:
-        return a.ravel().copy(), np.ones((1, 1))
-    work = a.copy()
-    vecs = np.eye(n)
-    norm_f = float(np.sqrt((a * a).sum()))
-    if norm_f == 0.0:
-        return np.zeros(n), vecs
-    tol = _OFF_TOL * norm_f
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(work) < tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # work <- G.T @ work @ G with G the (p, q) rotation
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-    else:
-        converged = _offdiag_norm(work) < tol
-    if not converged:
-        residual = _offdiag_norm(work)
-        raise ConvergenceError(
-            f"Jacobi sweep limit reached; off-diagonal residual {residual:.3e}",
-            residual=residual,
-        )
-    values = np.diag(work).copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], vecs[:, order]
+    """(eigenvalues descending, eigenvector columns in matching order);
+    a LAPACK convergence failure raises ConvergenceError."""
+    try:
+        values, vecs = np.linalg.eigh(check_symmetric(a))
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"symmetric eigensolver failed: {err}") from err
+    return values[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
 
 
 def singular_values(j):
-    """Descending singular values of a (possibly rectangular) matrix.
-
-    Computed as square roots of the eigenvalues of the smaller-side Gram
-    matrix, clamped at zero.
-    """
+    """Descending singular values of a (possibly rectangular) matrix: square
+    roots of the smaller-side Gram matrix's eigenvalues, clamped at zero."""
     j = np.asarray(j, dtype=np.float64)
     if j.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {j.shape}")
     if not np.all(np.isfinite(j)):
         raise ShapeError("matrix contains non-finite entries")
     gram = j @ j.T if j.shape[0] <= j.shape[1] else j.T @ j
-    values, _ = sym_eig(gram)
-    return np.sqrt(np.maximum(values, 0.0))
+    return np.sqrt(np.maximum(sym_eig(gram)[0], 0.0))
 
 
 def sqrtm_psd(a):
-    """Symmetric PSD square root via the eigendecomposition.
-
-    Eigenvalues in [-1e-10, 0) are treated as rounding noise and clamped
-    to zero; anything below that raises NotPsdError.
-    """
+    """Symmetric PSD square root.  Eigenvalues in [-1e-10, 0) count as
+    rounding noise and clamp to zero; anything lower raises NotPsdError."""
     values, vecs = sym_eig(a)
     if values.min(initial=0.0) < -1e-10:
         raise NotPsdError(
             f"matrix has eigenvalue {values.min():.3e} below the PSD tolerance"
         )
-    root = vecs @ np.diag(np.sqrt(np.maximum(values, 0.0))) @ vecs.T
+    root = (vecs * np.sqrt(np.maximum(values, 0.0))) @ vecs.T
     return 0.5 * (root + root.T)

@@ -118,25 +118,42 @@ def _act_grad(u, y, kind, alpha):
     return y * (1.0 - y)
 
 
+def _check_batch(net: MlpNet, batch):
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != net.in_dim:
+        raise ShapeError(
+            f"batch shape {batch.shape} incompatible with input size {net.in_dim}"
+        )
+    return batch
+
+
+def _layer_forward(layer: DenseLayer, x):
+    """One layer: (pre-activation, post-activation)."""
+    u = x @ layer.effective_weights().T + layer.bias
+    return u, _act_forward(u, layer.activation, layer.alpha)
+
+
 def forward(net: MlpNet, batch: np.ndarray):
     """Run the net on a (n, in_dim) batch.
 
     Returns (output, cache); the cache holds per-layer inputs and
     pre/post activations and is consumed by :func:`backward`.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != net.in_dim:
-        raise ShapeError(
-            f"batch shape {batch.shape} incompatible with input size {net.in_dim}"
-        )
     caches = []
-    x = batch
+    x = _check_batch(net, batch)
     for layer in net.layers:
-        u = x @ layer.effective_weights().T + layer.bias
-        y = _act_forward(u, layer.activation, layer.alpha)
+        u, y = _layer_forward(layer, x)
         caches.append((x, u, y))
         x = y
     return x, caches
+
+
+def predict(net: MlpNet, batch: np.ndarray):
+    """The output of :func:`forward`, without keeping the per-layer cache."""
+    x = _check_batch(net, batch)
+    for layer in net.layers:
+        _, x = _layer_forward(layer, x)
+    return x
 
 
 def backward(net: MlpNet, caches, upstream: np.ndarray):

@@ -188,6 +188,11 @@ def gen_forward(state: TrainState, z):
     return state.out_mid + state.out_half * raw, cache
 
 
+def gen_predict(state: TrainState, z):
+    """Generator output in pixel range, without the net cache."""
+    return state.out_mid + state.out_half * nn.predict(state.gen, z)
+
+
 def sample_noise(state: TrainState, n):
     """Latent noise under the current law: the fitted flow when present
     (fis mode after a refresh), otherwise N(0, I)."""
@@ -220,12 +225,13 @@ def _update_discriminator(state: TrainState, x_real, x_fake):
     return d_loss
 
 
-def _update_generator(state: TrainState, z):
+def _update_generator(state: TrainState, x_fake, g_cache):
+    """G update on the fakes the D update just scored, reusing their
+    generator cache: the D update does not touch G, so both are current."""
     cfg = state.config
-    x_fake, g_cache = gen_forward(state, z)
     logits, d_cache = nn.forward(state.disc, x_fake)
     u = logits[:, 0]
-    n = z.shape[0]
+    n = x_fake.shape[0]
     if cfg.gen_loss == "nonsaturating":
         g_loss = float(np.logaddexp(0.0, -u).mean())
         d_up = (_sigmoid(u) - 1.0)[:, None] / n
@@ -240,9 +246,9 @@ def _update_generator(state: TrainState, z):
 
 
 def _step(state: TrainState, real_batch, latents):
-    x_fake, _ = gen_forward(state, latents)
+    x_fake, g_cache = gen_forward(state, latents)
     d_loss = _update_discriminator(state, real_batch, x_fake)
-    g_loss = _update_generator(state, latents)
+    g_loss = _update_generator(state, x_fake, g_cache)
     if not (math.isfinite(d_loss) and math.isfinite(g_loss)):
         raise TrainError(
             f"non-finite loss at iteration {state.iteration}: "
@@ -370,7 +376,7 @@ def evaluate(state: TrainState, ctx: EvalContext, iteration):
         z = flows.sample(state.flow, n, rng)
     else:
         z = rng.standard_normal((n, state.config.latent_dim))
-    samples, _ = gen_forward(state, z)
+    samples = gen_predict(state, z)
     fid = metrics.proxy_fid(samples, ctx.real_subset, ctx.extractor,
                             ridge=ctx.options.ridge)
     return fid, samples

@@ -240,6 +240,7 @@ def _median_fids(dataset, seeds=(0, 1, 2, 3, 4)):
     }
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_acceleration(image_dataset):
     ring = data.make_synthetic(
         data.SyntheticSpec(kind="ring", count=8192, sigma=0.05),
@@ -281,6 +282,7 @@ def _ablation_config(tmp_path, out_dir):
     return path
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_harness(tmp_path):
     out_dir = str(tmp_path / "runs")
     cfg_path = _ablation_config(tmp_path, out_dir)

@@ -23,6 +23,17 @@ def test_idx_fixture_round_trip(tmp_path):
     assert np.array_equal(back.reshape(2, 2, 2), imgs)
 
 
+def test_idx_scaling_bitwise_matches_reference(tmp_path):
+    # every byte value, in a shape that is not a single row
+    raw = np.arange(256 * 3, dtype=np.int64).astype(np.uint8).reshape(12, 8, 8)
+    path = tmp_path / "all.idx"
+    data.write_idx(raw, path)
+    ds = data.load_idx(path)
+    expected = raw.reshape(12, 64).astype(np.float64) / 255.0 * 2.0 - 1.0
+    assert ds.samples.shape == (12, 64)
+    assert ds.samples.tobytes() == expected.tobytes()
+
+
 def test_idx_bad_magic(tmp_path):
     path = tmp_path / "bad.idx"
     path.write_bytes(b"\x00\x00\x09\x99" + b"\x00" * 12)

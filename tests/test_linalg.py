@@ -128,14 +128,43 @@ def test_sqrtm_rejects_indefinite():
         linalg.sqrtm_psd(np.diag([1.0, -0.5]))
 
 
-def test_sweep_limit_raises_with_residual(monkeypatch):
+def test_lapack_failure_raises_convergence_error(monkeypatch):
     from fisgan.errors import ConvergenceError
 
-    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     a = np.array([[1.0, 0.5], [0.5, 2.0]])
     with pytest.raises(ConvergenceError) as err:
         linalg.sym_eig(a)
-    assert err.value.residual > 0
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+    with pytest.raises(ConvergenceError):
+        linalg.sqrtm_psd(a)
+
+
+def test_sym_eig_matches_numpy_oracle_pca_shape():
+    # the PCA fit decomposes a 64x64 pixel covariance
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((500, 64)) @ rng.standard_normal((64, 64))
+    cov = np.cov(x, rowvar=False)
+    w, v = linalg.sym_eig(cov)
+    expected = np.linalg.eigvalsh(cov)[::-1]
+    assert np.all(np.diff(w) <= 0.0)
+    assert np.allclose(w, expected, rtol=1e-12, atol=1e-12 * expected[0])
+    assert np.max(np.abs(v.T @ v - np.eye(64))) < 1e-12
+    assert np.max(np.abs(cov @ v - v * w)) < 1e-10 * expected[0]
+
+
+def test_sqrtm_reconstruction_32x32():
+    # the Frechet distance takes roots of 32x32 feature covariances
+    rng = np.random.default_rng(10)
+    c = rng.standard_normal((40, 32))
+    b = c.T @ c / 40 + 1e-6 * np.eye(32)
+    root = linalg.sqrtm_psd(b)
+    assert np.array_equal(root, root.T)
+    assert np.max(np.abs(root @ root - b)) < 1e-12 * np.abs(b).max()
+    assert np.linalg.eigvalsh(root).min() > 0.0
 
 
 @settings(max_examples=25, deadline=None)

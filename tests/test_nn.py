@@ -78,6 +78,22 @@ def test_forward_shape_error():
         nn.forward(net, np.zeros((2, 7)))
 
 
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+def test_predict_matches_forward_bitwise(activation):
+    rng = np.random.default_rng(11)
+    sizes = [5, 7, 6, 4]
+    masks = [(rng.random((o, i)) < 0.6).astype(np.float64)
+             for i, o in zip(sizes, sizes[1:])]
+    for net in (nn.build_mlp(rng, sizes, [activation] * 3),
+                nn.build_mlp(rng, sizes, [activation, "leaky_relu", activation],
+                             masks=masks)):
+        batch = 3.0 * rng.standard_normal((9, 5))
+        expected, _ = nn.forward(net, batch)
+        assert nn.predict(net, batch).tobytes() == expected.tobytes()
+    with pytest.raises(ShapeError):
+        nn.predict(net, np.zeros((2, 4)))
+
+
 def test_linear_input_grads_recover_weight_rows():
     w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     net = nn.MlpNet([nn.DenseLayer(weights=w, bias=np.zeros(2))])

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import flows
-from .errors import FormatError
-from .train import TrainConfig, TrainState, init_state
+from .errors import FisGanError, FormatError
+from .train import EvalOptions, TrainConfig, TrainState, init_state
 
 MAGIC = b"FISG"
 VERSION = 1
@@ -28,6 +28,11 @@ HEADER_KEYS = (
     "model_rng", "data_rng", "adam_g_step", "adam_d_step", "out_mid",
     "out_half", "flow",
 )
+_COUNTER_KEYS = ("iteration", "refresh_count", "adam_g_step", "adam_d_step",
+                 "flow_adam_step")
+_NUMBER_KEYS = ("refresh_ms_total", "out_mid", "out_half")
+# JSON types accepted for each annotated config field type
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 def _flow_structure(flow):
@@ -125,27 +130,32 @@ def save_checkpoint(path, state: TrainState, experiment=None):
 def _rebuild_flow(meta, config, arrays, path):
     # structure comes from the header; weights overwrite the scratch init
     scratch = np.random.default_rng(0)
-    rebuilt_layers = []
-    for entry in meta["layers"]:
-        if entry["type"] == "coupling":
-            mask = np.asarray(entry["mask"], dtype=bool)
-            n_in = int(mask.sum())
-            n_out = meta["dim"] - n_in
-            scale_net = flows._coupling_subnet(scratch, n_in, n_out, config.flow_hidden)
-            shift_net = flows._coupling_subnet(scratch, n_in, n_out, config.flow_hidden)
-            rebuilt_layers.append(
-                flows.CouplingLayer(mask, scale_net, shift_net, entry["clamp"])
-            )
-        elif entry["type"] == "perm":
-            rebuilt_layers.append(flows.PermutationLayer(np.asarray(entry["perm"])))
-        else:
-            degrees = np.asarray(entry["degrees"])
-            net = flows._masked_subnet(scratch, degrees, config.flow_hidden)
-            rebuilt_layers.append(
-                flows.AutoregressiveLayer(net, degrees, entry["direction"],
-                                          entry["clamp"])
-            )
-    model = flows.FlowModel(rebuilt_layers, meta["dim"], meta["kind"])
+    hidden = config.flow_hidden
+    try:
+        rebuilt_layers = []
+        for entry in meta["layers"]:
+            if entry["type"] == "coupling":
+                mask = np.asarray(entry["mask"], dtype=bool)
+                n_in = int(mask.sum())
+                n_out = meta["dim"] - n_in
+                scale_net = flows._coupling_subnet(scratch, n_in, n_out, hidden)
+                shift_net = flows._coupling_subnet(scratch, n_in, n_out, hidden)
+                rebuilt_layers.append(
+                    flows.CouplingLayer(mask, scale_net, shift_net, entry["clamp"])
+                )
+            elif entry["type"] == "perm":
+                rebuilt_layers.append(flows.PermutationLayer(np.asarray(entry["perm"])))
+            else:
+                degrees = np.asarray(entry["degrees"])
+                net = flows._masked_subnet(scratch, degrees, hidden)
+                rebuilt_layers.append(
+                    flows.AutoregressiveLayer(net, degrees, entry["direction"],
+                                              entry["clamp"])
+                )
+        model = flows.FlowModel(rebuilt_layers, meta["dim"], meta["kind"])
+    except (FisGanError, TypeError, ValueError, KeyError, IndexError) as err:
+        raise FormatError(f"{path}: corrupt flow structure in checkpoint header: "
+                          f"{err!r}") from err
     for k, p in enumerate(model.parameters()):
         _restore(p, arrays, f"flow.p{k}", path)
     return model
@@ -164,12 +174,60 @@ def _unpack(fmt, blob, offset, path, what):
     return struct.unpack_from(fmt, blob, offset), end
 
 
+def _is_type(value, kind):
+    # JSON true/false must not pass for a number
+    return isinstance(value, _FIELD_TYPES[kind]) and (
+        kind == "bool" or not isinstance(value, bool)
+    )
+
+
+def _check_fields(section, cls, what, path):
+    """FormatError unless section maps cls field names to values of their type."""
+    if not isinstance(section, dict):
+        raise FormatError(f"{path}: checkpoint {what} is not a JSON object")
+    kinds = {f.name: f.type for f in fields(cls)}
+    for name, value in section.items():
+        if name not in kinds or not _is_type(value, kinds[name]):
+            raise FormatError(f"{path}: checkpoint {what} has bad field {name!r}: "
+                              f"{value!r}")
+
+
+def _check_header_values(header, path):
+    """FormatError unless every header value has the type loading relies on;
+    the flow structure's own contents are checked when it is rebuilt."""
+    _check_fields(header["config"], TrainConfig, "config", path)
+    experiment = header["experiment"]
+    if experiment is not None:
+        if not isinstance(experiment, dict):
+            raise FormatError(f"{path}: checkpoint experiment is not a JSON object")
+        for key, cls in (("train", TrainConfig), ("eval", EvalOptions)):
+            if key in experiment:
+                _check_fields(experiment[key], cls, f"experiment {key}", path)
+    for key in _COUNTER_KEYS:
+        value = header.get(key, 0)
+        if not (_is_type(value, "int") and value >= 0):
+            raise FormatError(f"{path}: checkpoint {key!r} is not a count: {value!r}")
+    for key in _NUMBER_KEYS:
+        if not _is_type(header[key], "float"):
+            raise FormatError(f"{path}: checkpoint {key!r} is not a number: "
+                              f"{header[key]!r}")
+    for key in ("model_rng", "data_rng"):
+        try:
+            np.random.PCG64(0).state = header[key]
+        except (TypeError, ValueError, KeyError, OverflowError) as err:
+            raise FormatError(f"{path}: checkpoint {key!r} is not a PCG64 state: "
+                              f"{err!r}") from err
+    if header["flow"] is not None and not isinstance(header["flow"], dict):
+        raise FormatError(f"{path}: checkpoint flow is not a JSON object")
+
+
 def read_header(blob, path):
     """Validate the checkpoint bytes up to the end of the JSON header.
 
     Returns (header dict, offset of the tensor section).  A bad magic,
-    version or length, a header that is not a JSON object, and a missing
-    or unknown header key all raise FormatError.
+    version or length, a header that is not a JSON object, a missing or
+    unknown header key, and a header value of the wrong type all raise
+    FormatError.
     """
     if blob[:4] != MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {blob[:4]!r}")
@@ -192,6 +250,7 @@ def read_header(blob, path):
         raise FormatError(
             f"{path}: checkpoint header keys missing {missing}, unknown {unknown}"
         )
+    _check_header_values(header, path)
     return header, end
 
 
@@ -229,10 +288,7 @@ def load_checkpoint(path, dataset, blob=None):
     header, offset = read_header(blob, path)
     arrays = _read_tensors(blob, offset, path)
 
-    try:
-        config = TrainConfig(**header["config"])
-    except TypeError as err:
-        raise FormatError(f"{path}: corrupt config in checkpoint header: {err}") from err
+    config = TrainConfig(**header["config"])
     state = init_state(config, dataset)
     for k, layer in enumerate(state.gen.layers):
         _dense_from(arrays, f"g.l{k}", layer, path)

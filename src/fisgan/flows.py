@@ -8,7 +8,11 @@ Three layer families:
   log-scale); output d depends only on inputs of strictly lower degree.
   The ``maf`` orientation evaluates densities in one parallel pass and
   samples sequentially; ``iaf`` is the same arithmetic run in the opposite
-  orientation, so it samples in parallel and evaluates sequentially.
+  orientation, so it samples in parallel and evaluates sequentially.  The
+  sequential direction is one sweep over the degrees that computes each
+  hidden unit of the net once, at the step after which its inputs are
+  final (a schedule read from the masks at construction); its reverse
+  pass gets all parameter gradients from a single net backward.
 * ``PermutationLayer``: fixed coordinate shuffle, zero log-det.
 
 Log-scales are passed through tanh and multiplied by ``scale_clamp``, which
@@ -155,12 +159,39 @@ def made_masks(degrees_in, hidden_sizes):
     return masks
 
 
+def _sweep_schedule(net, degree_order):
+    """Hidden units that become final at each step of a degree sweep.
+
+    Step t sets input coordinate degree_order[t].  A hidden unit is final
+    once every input it reads through the masks is set: after the latest
+    step among those inputs, or at step -1 if it reads none.  Entry t + 1
+    of the result holds, per hidden layer, the units final after step t.
+    Raises ShapeError if net outputs i or d+i read a unit that is not final
+    before the step that sets coordinate i.
+    """
+    d = degree_order.shape[0]
+    input_step = np.empty(d, dtype=np.int64)
+    input_step[degree_order] = np.arange(d)
+    steps = []
+    step = input_step
+    for layer in net.layers:
+        if layer.mask is None:
+            raise ShapeError("every layer of an autoregressive net needs a mask")
+        step = np.where(layer.mask != 0, step, -1).max(axis=1)
+        steps.append(step)
+    output_step = steps.pop().reshape(2, d).max(axis=0)
+    if np.any(output_step >= input_step):
+        raise ShapeError("masked net outputs read inputs of equal or later degree")
+    return [tuple(np.flatnonzero(step == t) for step in steps) for t in range(-1, d)]
+
+
 class AutoregressiveLayer:
     """Masked affine autoregressive transform, maf or iaf orientation.
 
     The underlying arithmetic T maps w -> (w - shift(w)) * exp(-scale(w))
-    in one parallel pass; T^-1 rebuilds coordinates in degree order.  The
-    maf orientation uses T as the density-direction map; iaf uses T as its
+    in one parallel pass; T^-1 rebuilds coordinates in degree order, in one
+    sweep that computes each hidden unit of the masked net once.  The maf
+    orientation uses T as the density-direction map; iaf uses T as its
     sampling-direction map (identical code, opposite orientation).
     """
 
@@ -169,13 +200,18 @@ class AutoregressiveLayer:
             raise ValueError(f"unknown autoregressive direction {direction!r}")
         self.net = masked_net
         self.degrees = np.asarray(degrees, dtype=np.int64)
-        d = self.degrees.shape[0]
+        d = self.degrees.size
+        if self.degrees.ndim != 1 or not np.array_equal(
+            np.sort(self.degrees), np.arange(1, d + 1)
+        ):
+            raise ShapeError("autoregressive degrees must be a permutation of 1..dim")
         if masked_net.in_dim != d or masked_net.out_dim != 2 * d:
             raise ShapeError("masked net must map dim -> 2*dim")
         self.direction = direction
         self.scale_clamp = float(scale_clamp)
         # dimension index processed at each degree step, ascending degree
         self.degree_order = np.argsort(self.degrees, kind="stable")
+        self._finals = _sweep_schedule(masked_net, self.degree_order)
 
     @property
     def dim(self):
@@ -199,14 +235,35 @@ class AutoregressiveLayer:
         return u, -s.sum(axis=1), (w, u, mu, s, th, cache)
 
     def _generate(self, u):
-        """Sequential inverse of _normalize, one degree at a time."""
-        w = np.zeros_like(u)
+        """Inverse of _normalize in one sweep over the degrees.
+
+        Step t sets w_i (i = degree_order[t]) from net outputs i and d+i,
+        which read only hidden units final before step t, then computes the
+        hidden units that become final at step t.
+        """
         d = self.dim
-        for i in self.degree_order:
-            # only columns i (shift) and d+i (scale) of the net output are used
-            out = nn.predict(self.net, w)
-            s_i = self.scale_clamp * np.tanh(out[:, d + i])
-            w[:, i] = u[:, i] * np.exp(s_i) + out[:, i]
+        *hidden_layers, out_layer = self.net.layers
+        weights = [layer.effective_weights() for layer in self.net.layers]
+        w = np.zeros_like(u)
+        # acts[k] is the input of net layer k: w, then each hidden output
+        acts = [w] + [np.zeros((u.shape[0], layer.out_dim)) for layer in hidden_layers]
+
+        def finalize(units_per_layer):
+            for k, (layer, units) in enumerate(zip(hidden_layers, units_per_layer)):
+                if units.size:
+                    pre = acts[k] @ weights[k][units].T + layer.bias[units]
+                    acts[k + 1][:, units] = nn.act_forward(pre, layer.activation,
+                                                           layer.alpha)
+
+        finalize(self._finals[0])
+        out_w = weights[-1].reshape(2, d, -1)
+        out_b = out_layer.bias.reshape(2, d)
+        for t, i in enumerate(self.degree_order):
+            pre = acts[-1] @ out_w[:, i].T + out_b[:, i]
+            shift, raw_scale = nn.act_forward(pre, out_layer.activation,
+                                              out_layer.alpha).T
+            w[:, i] = u[:, i] * np.exp(self.scale_clamp * np.tanh(raw_scale)) + shift
+            finalize(self._finals[t + 1])
         return w
 
     # --- density-direction (forward) passes -------------------------------
@@ -248,30 +305,46 @@ class AutoregressiveLayer:
         return g_u * e_neg + g_w_net, grads
 
     def _backward_generate(self, payload, g_h, g_log_det):
-        # h was built sequentially: h_i = z_i * exp(s_i) + mu_i with (mu, s)
-        # read from the finished h (masking makes that equivalent to the
-        # per-step values).  Walk degrees high-to-low, accumulating the
-        # gradient that each step's net evaluation sends to lower degrees.
+        """Reverse of the _generate sweep.
+
+        h_i = z_i * exp(s_i) + mu_i with (mu, s) read from the finished h
+        (the masks make that equal to the per-step values).  Walking the
+        steps backwards, step t first completes the adjoints of the hidden
+        units final at t, last layer first: everything that reads them was
+        handled at a later step or earlier in this one.  The adjoint of h_i
+        is then complete too; it fixes the upstream of net outputs i and
+        d+i.  Parameter gradients are linear in that upstream, so one
+        nn.backward over all of it gives them.
+        """
         z, h, mu, s, th, net_cache = payload
         d = self.dim
-        n = g_h.shape[0]
-        g_acc = g_h.copy()
-        g_z = np.zeros_like(g_h)
-        total = [np.zeros_like(p) for p in self.net.parameters()]
+        layers = self.net.layers
+        weights = [layer.effective_weights() for layer in layers]
+        act_grads = [
+            np.broadcast_to(nn.act_grad(u, y, layer.activation, layer.alpha), u.shape)
+            for layer, (_, u, y) in zip(layers, net_cache)
+        ]
+        # adjoints of each layer's pre-activations, filled in as they complete
+        g_pre = [np.zeros_like(u) for _, u, _ in net_cache]
+        upstream = np.zeros_like(g_pre[-1])
+        es = np.exp(s)
         dth = self.scale_clamp * (1.0 - th * th)
-        for i in self.degree_order[::-1]:
-            gi = g_acc[:, i]
-            es_i = np.exp(s[:, i])
-            g_z[:, i] = gi * es_i
-            g_s_i = gi * z[:, i] * es_i + g_log_det
-            upstream = np.zeros((n, 2 * d))
-            upstream[:, i] = gi
-            upstream[:, d + i] = g_s_i * dth[:, i]
-            grads, g_in = nn.backward(self.net, net_cache, upstream)
-            for acc, g in zip(total, grads):
-                acc += g
-            g_acc += g_in
-        return g_z, total
+        g_z = np.empty_like(g_h)
+        for t in range(d - 1, -1, -1):
+            for k in range(len(layers) - 2, -1, -1):
+                units = self._finals[t + 1][k]
+                if units.size:
+                    g_pre[k][:, units] = (g_pre[k + 1] @ weights[k + 1][:, units]
+                                          * act_grads[k][:, units])
+            i = self.degree_order[t]
+            g_i = g_h[:, i] + g_pre[0] @ weights[0][:, i]
+            g_z[:, i] = g_i * es[:, i]
+            upstream[:, i] = g_i
+            upstream[:, d + i] = (g_z[:, i] * z[:, i] + g_log_det) * dth[:, i]
+            cols = [i, d + i]
+            g_pre[-1][:, cols] = upstream[:, cols] * act_grads[-1][:, cols]
+        grads, _ = nn.backward(self.net, net_cache, upstream)
+        return g_z, grads
 
 
 class FlowModel:

@@ -92,7 +92,7 @@ class MlpNet:
         return out
 
 
-def _act_forward(u, kind, alpha):
+def act_forward(u, kind, alpha):
     if kind == "identity":
         return u
     if kind == "relu":
@@ -104,7 +104,7 @@ def _act_forward(u, kind, alpha):
     return stable_sigmoid(u)
 
 
-def _act_grad(u, y, kind, alpha):
+def act_grad(u, y, kind, alpha):
     # Derivative evaluated from the pre-activation u (and post-activation y
     # where that is cheaper).  relu/leaky kinks take the zero-side value.
     if kind == "identity":
@@ -130,7 +130,7 @@ def _check_batch(net: MlpNet, batch):
 def _layer_forward(layer: DenseLayer, x):
     """One layer: (pre-activation, post-activation)."""
     u = x @ layer.effective_weights().T + layer.bias
-    return u, _act_forward(u, layer.activation, layer.alpha)
+    return u, act_forward(u, layer.activation, layer.alpha)
 
 
 def forward(net: MlpNet, batch: np.ndarray):
@@ -175,7 +175,7 @@ def backward(net: MlpNet, caches, upstream: np.ndarray):
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         x, u, y = caches[k]
-        du = g * _act_grad(u, y, layer.activation, layer.alpha)
+        du = g * act_grad(u, y, layer.activation, layer.alpha)
         dw = du.T @ x
         if layer.mask is not None:
             dw *= layer.mask

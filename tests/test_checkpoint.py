@@ -42,7 +42,7 @@ def cfg(**over):
     return train.TrainConfig(**base)
 
 
-@pytest.mark.parametrize("flow_kind", ("realnvp", "maf"))
+@pytest.mark.parametrize("flow_kind", ("realnvp", "maf", "iaf"))
 def test_save_load_round_trip(tmp_path, flow_kind):
     ds = ring_dataset()
     config = cfg(max_iters=8, flow_kind=flow_kind)
@@ -67,19 +67,21 @@ def test_save_load_round_trip(tmp_path, flow_kind):
         assert np.array_equal(same, other)
 
 
-def test_resume_matches_uninterrupted_run(tmp_path):
+@pytest.mark.parametrize("flow_kind", ("realnvp", "maf", "iaf"))
+def test_resume_matches_uninterrupted_run(tmp_path, flow_kind):
     ds = ring_dataset()
     eval_options = train.EvalOptions(interval=4, samples=64)
 
-    full = train.train(cfg(max_iters=16), ds, clock=fake_clock(),
+    full = train.train(cfg(max_iters=16, flow_kind=flow_kind), ds, clock=fake_clock(),
                        eval_options=eval_options)
 
-    first = train.train(cfg(max_iters=8), ds, clock=fake_clock(),
+    first = train.train(cfg(max_iters=8, flow_kind=flow_kind), ds, clock=fake_clock(),
                         eval_options=eval_options)
     path = tmp_path / "half.ckpt"
     checkpoint.save_checkpoint(path, first.state)
     resumed_state, _ = checkpoint.load_checkpoint(path, ds)
-    second = train.train(cfg(max_iters=16), ds, clock=fake_clock(),
+    assert resumed_state.flow.kind == flow_kind
+    second = train.train(cfg(max_iters=16, flow_kind=flow_kind), ds, clock=fake_clock(),
                          eval_options=eval_options, state=resumed_state)
 
     stitched = first.rows + second.rows
@@ -107,18 +109,16 @@ def test_version_mismatch(tmp_path):
     assert "version" in str(err.value)
 
 
-@pytest.fixture(scope="module")
-def cli_checkpoint(tmp_path_factory):
-    """A fis checkpoint (flow fitted) written by `fisgan train`, its bytes,
-    and the dataset its experiment echo rebuilds."""
+def write_cli_checkpoint(root, flow_kind):
+    """A fis checkpoint (flow fitted) written by `fisgan train` under root,
+    its bytes, and the dataset its experiment echo rebuilds."""
     from fisgan import cli, config as config_mod
 
-    root = tmp_path_factory.mktemp("ckpt")
     doc = {
         "train": {"latent_dim": 4, "refresh_t": 2, "flow_epochs": 1,
                   "flow_batch": 32, "augment_N": 32, "batch_size": 16,
                   "max_iters": 2, "seed": 1, "mode": "fis", "flow_depth": 2,
-                  "flow_hidden": 6},
+                  "flow_hidden": 6, "flow_kind": flow_kind},
         "dataset": {"kind": "synthetic",
                     "spec": {"kind": "ring", "count": 64, "sigma": 0.05}},
         "eval": {"interval": 2, "samples": 16},
@@ -135,6 +135,24 @@ def cli_checkpoint(tmp_path_factory):
         config_mod.experiment_from_dict(header["experiment"])
     )
     return root, blob, dataset
+
+
+@pytest.fixture(scope="module")
+def cli_checkpoint(tmp_path_factory):
+    return write_cli_checkpoint(tmp_path_factory.mktemp("ckpt"), "realnvp")
+
+
+@pytest.fixture(scope="module")
+def cli_iaf_checkpoint(tmp_path_factory):
+    return write_cli_checkpoint(tmp_path_factory.mktemp("ckpt_iaf"), "iaf")
+
+
+def _with_header(blob, header):
+    """The checkpoint bytes with the JSON header replaced."""
+    _, offset = checkpoint.read_header(blob, "final.ckpt")
+    encoded = json.dumps(header).encode("utf-8")
+    return (checkpoint.MAGIC + struct.pack("<II", checkpoint.VERSION, len(encoded))
+            + encoded + blob[offset:])
 
 
 def _assert_rejected(path, dataset):
@@ -168,15 +186,12 @@ def test_truncated_checkpoint_raises_format_error(cli_checkpoint, cut):
 def test_header_key_set_is_enforced(cli_checkpoint, dropped, extra):
     root, blob, dataset = cli_checkpoint
     assume(dropped or extra)
-    header, offset = checkpoint.read_header(blob, "final.ckpt")
+    header, _ = checkpoint.read_header(blob, "final.ckpt")
     header = {k: v for k, v in header.items() if k not in dropped}
     if extra:
         header["unexpected"] = 0
-    encoded = json.dumps(header).encode("utf-8")
     path = root / "keys.ckpt"
-    path.write_bytes(checkpoint.MAGIC + struct.pack("<II", checkpoint.VERSION,
-                                                    len(encoded))
-                     + encoded + blob[offset:])
+    path.write_bytes(_with_header(blob, header))
     with pytest.raises(FormatError) as err:
         checkpoint.read_header(path.read_bytes(), path)
     assert "header keys" in str(err.value)
@@ -190,3 +205,53 @@ def test_header_length_past_end_of_file(tmp_path):
     with pytest.raises(FormatError) as err:
         checkpoint.load_checkpoint(path, ring_dataset())
     assert "truncated header" in str(err.value)
+
+
+def _set(*keys, value):
+    def edit(header):
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return edit
+
+
+HEADER_EDITS = {
+    "rng_not_a_dict": _set("model_rng", value=5),
+    "rng_wrong_generator": _set("data_rng", "bit_generator", value="MT19937"),
+    "rng_state_not_int": _set("model_rng", "state", "state", value="x"),
+    "iteration_not_int": _set("iteration", value="x"),
+    "iteration_negative": _set("iteration", value=-1),
+    "adam_step_bool": _set("adam_g_step", value=True),
+    "out_half_not_number": _set("out_half", value=[1.0]),
+    "config_field_type": _set("config", "latent_dim", value="a"),
+    "config_unknown_field": _set("config", "bogus", value=1),
+    "experiment_train_type": _set("experiment", "train", "seed", value=1.5),
+    "experiment_not_dict": _set("experiment", value=3),
+    "flow_not_dict": _set("flow", value="x"),
+    "flow_layers_not_list": _set("flow", "layers", value="x"),
+    "flow_dim_mismatch": _set("flow", "dim", value=5),
+    "ar_direction": _set("flow", "layers", 0, "direction", value="zzz"),
+    "ar_clamp_type": _set("flow", "layers", 1, "clamp", value="x"),
+    "ar_degrees_not_permutation": _set("flow", "layers", 0, "degrees", value=[1, 1, 1, 1]),
+    "ar_degrees_short": _set("flow", "layers", 0, "degrees", value=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+def test_wrong_typed_header_value_raises_format_error(cli_iaf_checkpoint, edit):
+    root, blob, dataset = cli_iaf_checkpoint
+    header, _ = checkpoint.read_header(blob, "final.ckpt")
+    HEADER_EDITS[edit](header)
+    path = root / "edited.ckpt"
+    path.write_bytes(_with_header(blob, header))
+    _assert_rejected(path, dataset)
+
+
+def test_iaf_checkpoint_evaluates(cli_iaf_checkpoint):
+    from fisgan import cli
+
+    root, blob, dataset = cli_iaf_checkpoint
+    path = root / "intact.ckpt"
+    path.write_bytes(_with_header(blob, checkpoint.read_header(blob, "final.ckpt")[0]))
+    assert cli.main(["eval", "--checkpoint", str(path), "--samples", "8"]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisgan import flows, nn
 from fisgan.errors import NumericError, ShapeError
@@ -294,3 +296,170 @@ def test_nonfinite_names_layer():
     with pytest.raises(NumericError) as err:
         flows.forward_map(flow, np.array([[np.inf, 0.0]]))
     assert "layer 0" in str(err.value)
+
+
+# --- the autoregressive degree sweep ----------------------------------------
+
+
+def reference_generate(layer, u):
+    """Per-degree oracle for AutoregressiveLayer._generate: one full net pass
+    per degree step."""
+    w = np.zeros_like(u)
+    d = layer.dim
+    for i in layer.degree_order:
+        out = nn.predict(layer.net, w)
+        s_i = layer.scale_clamp * np.tanh(out[:, d + i])
+        w[:, i] = u[:, i] * np.exp(s_i) + out[:, i]
+    return w
+
+
+def reference_backward_generate(layer, payload, g_h, g_log_det):
+    """Per-degree oracle for AutoregressiveLayer._backward_generate: one full
+    backward pass per degree step, high degrees first."""
+    z, h, mu, s, th, net_cache = payload
+    d = layer.dim
+    n = g_h.shape[0]
+    g_acc = g_h.copy()
+    g_z = np.zeros_like(g_h)
+    total = [np.zeros_like(p) for p in layer.net.parameters()]
+    dth = layer.scale_clamp * (1.0 - th * th)
+    for i in layer.degree_order[::-1]:
+        gi = g_acc[:, i]
+        es_i = np.exp(s[:, i])
+        g_z[:, i] = gi * es_i
+        upstream = np.zeros((n, 2 * d))
+        upstream[:, i] = gi
+        upstream[:, d + i] = (gi * z[:, i] * es_i + g_log_det) * dth[:, i]
+        grads, g_in = nn.backward(layer.net, net_cache, upstream)
+        for acc, g in zip(total, grads):
+            acc += g
+        g_acc += g_in
+    return g_z, total
+
+
+def random_ar_layer(rng, degrees, hidden, direction="iaf", keep=1.0):
+    """Autoregressive layer with generic (non-identity) weights.  keep < 1
+    drops that share of the MADE connections at random, which keeps the
+    net autoregressive and leaves some units reading no input at all."""
+    net = flows._masked_subnet(rng, degrees, hidden, zero_last=False)
+    for dense in net.layers:
+        dense.mask *= rng.random(dense.mask.shape) < keep
+        dense.weights[...] = rng.standard_normal(dense.weights.shape) * dense.mask
+        dense.weights *= 1.5 / math.sqrt(dense.in_dim)
+        dense.bias[...] = 0.3 * rng.standard_normal(dense.bias.shape)
+    return flows.AutoregressiveLayer(net, degrees, direction=direction)
+
+
+def assert_close(actual, expected, rtol):
+    scale = max(np.max(np.abs(expected)), 1e-300)
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+@pytest.mark.parametrize("n", (1, 128))
+@pytest.mark.parametrize("descending", (False, True))
+def test_sweep_matches_per_degree_reference(n, descending):
+    rng = np.random.default_rng(19)
+    dim = 64
+    degrees = np.arange(1, dim + 1)
+    if descending:
+        degrees = degrees[::-1].copy()
+    layer = random_ar_layer(rng, degrees, hidden=64)
+    z = rng.standard_normal((n, dim))
+    h = layer._generate(z)
+    assert_close(h, reference_generate(layer, z), 1e-12)
+
+    h, _, cache = layer.forward(z)
+    g_h = rng.standard_normal((n, dim))
+    g_log_det = rng.standard_normal(n)
+    g_z, grads = layer.backward(cache, g_h, g_log_det)
+    ref_z, ref_grads = reference_backward_generate(layer, cache[1], g_h, g_log_det)
+    assert_close(g_z, ref_z, 1e-12)
+    assert len(grads) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert_close(g, ref, 1e-12)
+
+
+def test_iaf_layer_gradients_match_finite_differences():
+    rng = np.random.default_rng(20)
+    dim = 8
+    layer = random_ar_layer(rng, np.arange(1, dim + 1)[::-1].copy(), hidden=12)
+    z = rng.standard_normal((4, dim))
+    c_h = rng.standard_normal((4, dim))
+    c_log_det = rng.standard_normal(4)
+
+    def loss(z_in):
+        h, log_det, _ = layer.forward(z_in)
+        return float((c_h * h).sum() + (c_log_det * log_det).sum())
+
+    _, _, cache = layer.forward(z)
+    g_z, grads = layer.backward(cache, c_h, c_log_det)
+    step = 1e-6
+    # masked weights get a zero gradient and have no effect on the loss
+    for target, analytic in [(z, g_z), *zip(layer.parameters(), grads)]:
+        for idx in np.ndindex(target.shape):
+            orig = target[idx]
+            target[idx] = orig + step
+            plus = loss(z)
+            target[idx] = orig - step
+            minus = loss(z)
+            target[idx] = orig
+            fd = (plus - minus) / (2 * step)
+            assert abs(fd - analytic[idx]) <= 1e-6 * max(1.0, abs(fd)), idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=10),
+    hidden=st.integers(min_value=1, max_value=24),
+    keep=st.sampled_from((1.0, 0.6)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sweep_round_trip_any_degree_order(dim, hidden, keep, seed):
+    rng = np.random.default_rng(seed)
+    degrees = rng.permutation(dim) + 1
+    layer = random_ar_layer(rng, degrees, hidden, keep=keep)
+    x = rng.standard_normal((5, dim))
+    u, _, _ = layer._normalize(x)
+    back = layer._generate(u)
+    assert np.max(np.abs(back - x)) < 1e-9
+    assert_close(back, reference_generate(layer, u), 1e-12)
+
+
+def test_sweep_makes_no_full_net_passes(monkeypatch):
+    rng = np.random.default_rng(21)
+    layer = random_ar_layer(rng, np.arange(1, 17), hidden=16)
+    z = rng.standard_normal((8, 16))
+    _, _, cache = layer.forward(z)
+    calls = {"forward": 0, "predict": 0, "backward": 0}
+    for name in calls:
+        original = getattr(nn, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nn, name, counted)
+    layer._generate(z)
+    assert calls == {"forward": 0, "predict": 0, "backward": 0}
+    layer._backward_generate(cache[1], z, np.ones(8))
+    assert calls == {"forward": 0, "predict": 0, "backward": 1}
+
+
+@pytest.mark.parametrize(
+    "degrees", ([1, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 5], [[1, 2], [3, 4]])
+)
+def test_degrees_must_be_a_permutation(degrees):
+    rng = np.random.default_rng(22)
+    net = flows._masked_subnet(rng, np.arange(1, 5), hidden=8)
+    with pytest.raises(ShapeError):
+        flows.AutoregressiveLayer(net, degrees)
+
+
+def test_masks_must_match_degree_order():
+    rng = np.random.default_rng(23)
+    net = flows._masked_subnet(rng, np.arange(1, 5), hidden=8)
+    with pytest.raises(ShapeError):
+        flows.AutoregressiveLayer(net, [4, 3, 2, 1])
+    unmasked = nn.build_mlp(rng, [4, 8, 8], ["tanh", "identity"])
+    with pytest.raises(ShapeError):
+        flows.AutoregressiveLayer(unmasked, [1, 2, 3, 4])

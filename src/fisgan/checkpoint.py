@@ -12,27 +12,27 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
-from . import flows
-from .errors import FisGanError, FormatError
-from .train import EvalOptions, TrainConfig, TrainState, init_state
+from . import data, flows
+from .config import experiment_from_dict
+from .errors import ConfigError, FisGanError, FormatError
+from .train import TrainConfig, TrainState, init_state, is_json_type, parse_fields
 
 MAGIC = b"FISG"
-VERSION = 1
-# every header carries these keys; "flow_adam_step" joins them when "flow" is set
+# 2: the config lost augment_cov, gen_loss and flow_warm_start, and the
+# flow's Adam state (rebuilt by every refresh) is no longer stored
+VERSION = 2
+# every header carries exactly these keys
 HEADER_KEYS = (
     "config", "experiment", "iteration", "refresh_count", "refresh_ms_total",
     "model_rng", "data_rng", "adam_g_step", "adam_d_step", "out_mid",
     "out_half", "flow",
 )
-_COUNTER_KEYS = ("iteration", "refresh_count", "adam_g_step", "adam_d_step",
-                 "flow_adam_step")
+_COUNTER_KEYS = ("iteration", "refresh_count", "adam_g_step", "adam_d_step")
 _NUMBER_KEYS = ("refresh_ms_total", "out_mid", "out_half")
-# JSON types accepted for each annotated config field type
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 def _flow_structure(flow):
@@ -85,7 +85,7 @@ def _dense_from(arrays, prefix, template_layer, path):
 
 def save_checkpoint(path, state: TrainState, experiment=None):
     """Write the full training state; experiment is the effective
-    experiment dict echoed for resume/eval."""
+    experiment dict echoed for resume/eval; path is replaced atomically."""
     arrays = {}
     arrays.update(_net_arrays("g", state.gen))
     arrays.update(_net_arrays("d", state.disc))
@@ -107,12 +107,10 @@ def save_checkpoint(path, state: TrainState, experiment=None):
     }
     if state.flow is not None:
         header["flow"] = _flow_structure(state.flow)
-        header["flow_adam_step"] = state.flow_adam.step
         for k, p in enumerate(state.flow.parameters()):
             arrays[f"flow.p{k}"] = p
-        arrays.update(_adam_arrays("adam_f", state.flow_adam))
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with data.replaced_atomically(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)
@@ -174,41 +172,21 @@ def _unpack(fmt, blob, offset, path, what):
     return struct.unpack_from(fmt, blob, offset), end
 
 
-def _is_type(value, kind):
-    # JSON true/false must not pass for a number
-    return isinstance(value, _FIELD_TYPES[kind]) and (
-        kind == "bool" or not isinstance(value, bool)
-    )
-
-
-def _check_fields(section, cls, what, path):
-    """FormatError unless section maps cls field names to values of their type."""
-    if not isinstance(section, dict):
-        raise FormatError(f"{path}: checkpoint {what} is not a JSON object")
-    kinds = {f.name: f.type for f in fields(cls)}
-    for name, value in section.items():
-        if name not in kinds or not _is_type(value, kinds[name]):
-            raise FormatError(f"{path}: checkpoint {what} has bad field {name!r}: "
-                              f"{value!r}")
-
-
 def _check_header_values(header, path):
     """FormatError unless every header value has the type loading relies on;
     the flow structure's own contents are checked when it is rebuilt."""
-    _check_fields(header["config"], TrainConfig, "config", path)
-    experiment = header["experiment"]
-    if experiment is not None:
-        if not isinstance(experiment, dict):
-            raise FormatError(f"{path}: checkpoint experiment is not a JSON object")
-        for key, cls in (("train", TrainConfig), ("eval", EvalOptions)):
-            if key in experiment:
-                _check_fields(experiment[key], cls, f"experiment {key}", path)
+    try:
+        parse_fields(TrainConfig, header["config"], "config").validate()
+        if header["experiment"] is not None:
+            experiment_from_dict(header["experiment"])
+    except ConfigError as err:
+        raise FormatError(f"{path}: bad checkpoint header: {err}") from err
     for key in _COUNTER_KEYS:
-        value = header.get(key, 0)
-        if not (_is_type(value, "int") and value >= 0):
+        value = header[key]
+        if not (is_json_type(value, "int") and value >= 0):
             raise FormatError(f"{path}: checkpoint {key!r} is not a count: {value!r}")
     for key in _NUMBER_KEYS:
-        if not _is_type(header[key], "float"):
+        if not is_json_type(header[key], "float"):
             raise FormatError(f"{path}: checkpoint {key!r} is not a number: "
                               f"{header[key]!r}")
     for key in ("model_rng", "data_rng"):
@@ -242,8 +220,6 @@ def read_header(blob, path):
     if not isinstance(header, dict):
         raise FormatError(f"{path}: checkpoint header is not a JSON object")
     expected = set(HEADER_KEYS)
-    if header.get("flow") is not None:
-        expected.add("flow_adam_step")
     missing = sorted(expected - header.keys())
     unknown = sorted(header.keys() - expected)
     if missing or unknown:
@@ -307,7 +283,4 @@ def load_checkpoint(path, dataset, blob=None):
     state.out_half = header["out_half"]
     if header["flow"] is not None:
         state.flow = _rebuild_flow(header["flow"], config, arrays, path)
-        state.flow_adam = flows.flow_adam(state.flow, lr=config.lr_flow)
-        _adam_from(arrays, "adam_f", state.flow_adam, path)
-        state.flow_adam.step = header["flow_adam_step"]
     return state, header.get("experiment")

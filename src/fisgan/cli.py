@@ -50,6 +50,11 @@ def run_experiment(cfg: config_mod.ExperimentConfig, resume_path=None):
     """Execute one configured run and write all artifacts; returns the
     run directory and summary."""
     dataset = config_mod.build_dataset(cfg)
+    state = None
+    if resume_path is not None:
+        state, _ = checkpoint.load_checkpoint(resume_path, dataset)
+        # fail before any file of the run directory changes
+        state.config = train.resumed_config(cfg.train, state.config)
     run_name = cfg.resolved_run_name()
     run_dir = os.path.join(cfg.out_dir, run_name)
     grids_dir = os.path.join(run_dir, "grids")
@@ -57,19 +62,16 @@ def run_experiment(cfg: config_mod.ExperimentConfig, resume_path=None):
     with open(os.path.join(run_dir, "config.echo"), "w") as fh:
         json.dump(cfg.effective_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    state = None
-    appending = False
-    if resume_path is not None:
-        state, _ = checkpoint.load_checkpoint(resume_path, dataset)
-        appending = os.path.exists(os.path.join(run_dir, "metrics.csv"))
+    csv_path = os.path.join(run_dir, "metrics.csv")
+    appending = state is not None and os.path.exists(csv_path)
+    if appending:
+        data.truncate_metrics_csv(csv_path, state.iteration)
 
     def image_sink(iteration, samples, side):
         path = os.path.join(grids_dir, f"iter_{iteration:06d}.pgm")
         data.write_image_grid(samples, side, cfg.eval.grid_cols, path,
                               pixel_range=dataset.pixel_range)
 
-    csv_path = os.path.join(run_dir, "metrics.csv")
     with data.MetricsCsvWriter(csv_path, append=appending) as sink:
         summary = train.train(
             cfg.train,
@@ -92,7 +94,7 @@ def run_experiment(cfg: config_mod.ExperimentConfig, resume_path=None):
         "final_proxy_fid": summary.rows[-1].proxy_fid if summary.rows else None,
         "rows": len(summary.rows),
     }
-    with open(os.path.join(run_dir, "summary.json"), "w") as fh:
+    with data.replaced_atomically(os.path.join(run_dir, "summary.json")) as fh:
         json.dump(summary_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return run_dir, summary
@@ -186,19 +188,15 @@ def cmd_ablate(args):
 
 
 def cmd_eval(args):
-    dataset_cfg = None
-    if args.config:
-        dataset_cfg = config_mod.load_experiment(args.config)
     with open(args.checkpoint, "rb") as fh:
         blob = fh.read()
-    probe_cfg = dataset_cfg
-    if probe_cfg is None:
+    if args.config:
+        probe_cfg = config_mod.load_experiment(args.config)
+    else:
         # the header's experiment echo names the dataset to rebuild
         header, _ = checkpoint.read_header(blob, args.checkpoint)
         if not header["experiment"]:
-            raise ConfigError(
-                "checkpoint carries no experiment echo; pass --config"
-            )
+            raise ConfigError("checkpoint carries no experiment echo; pass --config")
         probe_cfg = config_mod.experiment_from_dict(header["experiment"])
     dataset = config_mod.build_dataset(probe_cfg)
     state, _ = checkpoint.load_checkpoint(args.checkpoint, dataset, blob=blob)

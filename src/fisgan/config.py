@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError
-from .train import EvalOptions, TrainConfig
+from .train import EvalOptions, TrainConfig, parse_fields
 
 _DATASET_STREAM = 4
 
@@ -29,7 +29,6 @@ PRESETS = {
 
 _DATASET_KEYS_SYNTH = {"kind", "spec"}
 _DATASET_KEYS_IDX = {"kind", "images", "labels", "crop_border", "downsample"}
-_SPEC_KEYS = {"kind", "count", "sigma", "centers", "radius", "grid", "spacing"}
 _TOP_KEYS = {"train", "dataset", "eval", "out_dir", "run_name"}
 
 
@@ -76,12 +75,7 @@ def _validate_dataset(ds):
         raise ConfigError("dataset section needs a 'kind'")
     if ds["kind"] == "synthetic":
         _reject_unknown(ds, _DATASET_KEYS_SYNTH, "dataset")
-        spec = ds.get("spec")
-        if not isinstance(spec, dict):
-            raise ConfigError("synthetic dataset needs a 'spec' table")
-        _reject_unknown(spec, _SPEC_KEYS, "dataset.spec")
-        if spec.get("kind") not in ("ring", "gaussian_grid"):
-            raise ConfigError("dataset.spec.kind must be ring or gaussian_grid")
+        parse_fields(data.SyntheticSpec, ds.get("spec"), "dataset.spec")
     elif ds["kind"] == "idx":
         _reject_unknown(ds, _DATASET_KEYS_IDX, "dataset")
         if "images" not in ds:
@@ -103,21 +97,16 @@ def load_experiment(path):
 
 
 def experiment_from_dict(raw, base_dir="."):
+    """Parse and validate an experiment file's content or a checkpoint's echo."""
     if not isinstance(raw, dict):
-        raise ConfigError("experiment file must hold a JSON object")
+        raise ConfigError("experiment must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "experiment")
-    train_section = raw.get("train", {})
-    field_names = {f.name for f in dataclasses.fields(TrainConfig)}
-    _reject_unknown(train_section, field_names, "train")
-    eval_section = raw.get("eval", {})
-    eval_names = {f.name for f in dataclasses.fields(EvalOptions)}
-    _reject_unknown(eval_section, eval_names, "eval")
     if "dataset" not in raw:
         raise ConfigError("experiment file needs a 'dataset' section")
     cfg = ExperimentConfig(
-        train=TrainConfig(**train_section),
+        train=parse_fields(TrainConfig, raw.get("train", {}), "train"),
         dataset=raw["dataset"],
-        eval=EvalOptions(**eval_section),
+        eval=parse_fields(EvalOptions, raw.get("eval", {}), "eval"),
         out_dir=raw.get("out_dir", "runs"),
         run_name=raw.get("run_name"),
         base_dir=base_dir,

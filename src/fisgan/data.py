@@ -7,8 +7,10 @@ sample grids, and the streaming metrics CSV.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -311,6 +313,39 @@ class MetricsCsvWriter:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def truncate_metrics_csv(path, iteration):
+    """Drop the rows at or past iteration, which a run resumed from there
+    writes again, and a last line cut off mid-write."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    keep = 1  # the header
+    for line in lines[1:]:
+        if not line.endswith(b"\n"):
+            break
+        try:
+            if int(line.split(b",", 1)[0]) >= iteration:
+                break
+        except ValueError:
+            raise FormatError(f"{path}: line {keep + 1} has no iteration") from None
+        keep += 1
+    if keep < len(lines):
+        with replaced_atomically(path, "wb") as fh:
+            fh.writelines(lines[:keep])
+
+
+@contextlib.contextmanager
+def replaced_atomically(path, mode="w"):
+    """A temp file that replaces path in one step if the block succeeds."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_metrics_csv(rows, path):

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DegenerateBatchError, ShapeError
 
-AUGMENT_COVS = ("identity", "trace_proportional")
-
 
 @dataclass
 class LatentBatch:
@@ -83,33 +81,19 @@ def allocate_counts(weights, total):
     return AugmentationPlan(counts=base, total=int(total))
 
 
-def augment(latents, plan: AugmentationPlan, rng, scales=None):
-    """Unit-Gaussian draws around each source latent, source-major order.
-
-    scales, when given, holds a per-source standard deviation (used by the
-    trace-proportional covariance variant); default is 1 everywhere.
-    """
+def augment(latents, plan: AugmentationPlan, rng):
+    """Unit-Gaussian draws around each source latent, source-major order."""
     latents = np.asarray(latents, dtype=np.float64)
     if plan.counts.shape[0] != latents.shape[0]:
         raise ShapeError("plan rows must match latent rows")
     if plan.total == 0:
         return np.empty((0, latents.shape[1]))
     centers = np.repeat(latents, plan.counts, axis=0)
-    noise = rng.standard_normal(centers.shape)
-    if scales is not None:
-        noise = noise * np.repeat(np.asarray(scales, dtype=np.float64), plan.counts)[:, None]
-    return centers + noise
+    return centers + rng.standard_normal(centers.shape)
 
 
-def build_flow_dataset(batch: LatentBatch, total, rng, cov="identity"):
+def build_flow_dataset(batch: LatentBatch, total, rng):
     """Weights -> counts -> conditional-Gaussian draws, as one call."""
-    if cov not in AUGMENT_COVS:
-        raise ValueError(f"unknown augmentation covariance {cov!r}")
     batch.with_weights()
     plan = allocate_counts(batch.weights, total)
-    scales = None
-    if cov == "trace_proportional":
-        # per-source variance trace proportional to its weight, scaled so
-        # uniform weights reproduce the identity-covariance case
-        scales = np.sqrt(batch.weights * batch.weights.shape[0])
-    return augment(batch.latents, plan, rng, scales=scales)
+    return augment(batch.latents, plan, rng)

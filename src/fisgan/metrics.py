@@ -38,14 +38,6 @@ class FeatureExtractor:
         out, caches = nn.forward(self.probe, samples)
         return caches[-1][0]  # input to the final (logit) layer
 
-    @property
-    def feature_dim(self):
-        if self.kind == "pca":
-            return self.projection.shape[1]
-        if self.kind == "probe_net":
-            return self.probe.layers[-1].in_dim
-        return None  # raw: whatever comes in
-
 
 @dataclass
 class GaussianMoments:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .errors import ConfigError, DegenerateBatchError, TrainError
 log = logging.getLogger(__name__)
 
 MODES = ("baseline", "fis")
-GEN_LOSSES = ("nonsaturating", "saturating")
 
 G_HIDDEN = (128, 256)
 D_HIDDEN = (256, 128)
@@ -63,9 +62,6 @@ class TrainConfig:
     max_iters: int = 1000
     seed: int = 0
     mode: str = "fis"
-    augment_cov: str = "identity"
-    gen_loss: str = "nonsaturating"
-    flow_warm_start: bool = False
     flow_depth: int = 6
     flow_hidden: int = 64
 
@@ -82,12 +78,10 @@ class TrainConfig:
             raise ConfigError(f"unknown norm kind {self.norm_kind!r}")
         if self.flow_kind not in flows.FLOW_KINDS:
             raise ConfigError(f"unknown flow kind {self.flow_kind!r}")
-        if self.augment_cov not in importance.AUGMENT_COVS:
-            raise ConfigError(f"unknown augment covariance {self.augment_cov!r}")
-        if self.gen_loss not in GEN_LOSSES:
-            raise ConfigError(f"unknown generator loss {self.gen_loss!r}")
         if self.batch_size < 1 or self.max_iters < 0 or self.augment_N < 1:
             raise ConfigError("batch_size/augment_N must be positive, max_iters >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         return self
 
 
@@ -109,6 +103,42 @@ class EvalOptions:
         return self
 
 
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def is_json_type(value, kind):
+    """True when a JSON value fits a field annotated kind (a bool never does)."""
+    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+
+
+def parse_fields(cls, section, where):
+    """cls built from a JSON object, for experiment files and checkpoint
+    headers alike: ConfigError on an unknown name, a wrong JSON type, a
+    missing field that has no default, or a value cls rejects."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    kinds = {f.name: f.type for f in fields(cls)}
+    for name, value in section.items():
+        if name not in kinds:
+            raise ConfigError(f"unknown key {name!r} in {where}")
+        if not is_json_type(value, kinds[name]):
+            raise ConfigError(f"{where}.{name} must be {kinds[name]}, not {value!r}")
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def resumed_config(config: TrainConfig, saved: TrainConfig) -> TrainConfig:
+    """The checkpoint's config run on to config.max_iters; ConfigError if
+    config differs from it in any other field."""
+    changed = [f.name for f in fields(TrainConfig) if f.name != "max_iters"
+               and getattr(config, f.name) != getattr(saved, f.name)]
+    if changed:
+        raise ConfigError(f"resume changes the checkpoint's {', '.join(changed)}")
+    return replace(saved, max_iters=config.max_iters).validate()
+
+
 @dataclass
 class TrainState:
     config: TrainConfig
@@ -122,7 +152,6 @@ class TrainState:
     out_half: float
     iteration: int = 0
     flow: flows.FlowModel | None = None
-    flow_adam: nn.AdamState | None = None
     last_latents: np.ndarray | None = None
     refresh_count: int = 0
     refresh_ms_total: float = 0.0
@@ -135,10 +164,6 @@ class RunSummary:
     refresh_count: int
     refresh_ms_total: float
     state: TrainState
-
-
-def _log_sigmoid(u):
-    return -np.logaddexp(0.0, -u)
 
 
 def _sigmoid(u):
@@ -228,17 +253,12 @@ def _update_discriminator(state: TrainState, x_real, x_fake):
 def _update_generator(state: TrainState, x_fake, g_cache):
     """G update on the fakes the D update just scored, reusing their
     generator cache: the D update does not touch G, so both are current."""
-    cfg = state.config
     logits, d_cache = nn.forward(state.disc, x_fake)
     u = logits[:, 0]
     n = x_fake.shape[0]
-    if cfg.gen_loss == "nonsaturating":
-        g_loss = float(np.logaddexp(0.0, -u).mean())
-        d_up = (_sigmoid(u) - 1.0)[:, None] / n
-    else:
-        # saturating: minimize mean log(1 - D) = -softplus(u)
-        g_loss = float(-np.logaddexp(0.0, u).mean())
-        d_up = (-_sigmoid(u))[:, None] / n
+    # non-saturating loss: minimize mean -log D = softplus(-u)
+    g_loss = float(np.logaddexp(0.0, -u).mean())
+    d_up = (_sigmoid(u) - 1.0)[:, None] / n
     _, g_x = nn.backward(state.disc, d_cache, d_up)
     grads, _ = nn.backward(state.gen, g_cache, g_x * state.out_half)
     nn.adam_step(state.gen.parameters(), grads, state.adam_g)
@@ -306,29 +326,25 @@ def flow_refresh(state: TrainState, clock=time.perf_counter):
         latents=state.last_latents, norms=raw * state.out_half
     )
     try:
-        train_set = importance.build_flow_dataset(
-            batch, cfg.augment_N, state.model_rng, cov=cfg.augment_cov
-        )
+        train_set = importance.build_flow_dataset(batch, cfg.augment_N, state.model_rng)
     except DegenerateBatchError:
         log.warning(
             "batch %d has all-zero Jacobian norms; refresh skipped", completed
         )
         return state
-    if state.flow is None or not cfg.flow_warm_start:
-        state.flow = flows.build_flow(
-            cfg.flow_kind,
-            cfg.latent_dim,
-            state.model_rng,
-            depth=cfg.flow_depth,
-            hidden=cfg.flow_hidden,
-        )
-        state.flow_adam = flows.flow_adam(state.flow, lr=cfg.lr_flow)
+    state.flow = flows.build_flow(
+        cfg.flow_kind,
+        cfg.latent_dim,
+        state.model_rng,
+        depth=cfg.flow_depth,
+        hidden=cfg.flow_hidden,
+    )
     flows.fit(
         state.flow,
         train_set,
         epochs=cfg.flow_epochs,
         batch_size=min(cfg.flow_batch, train_set.shape[0]),
-        adam=state.flow_adam,
+        adam=flows.flow_adam(state.flow, lr=cfg.lr_flow),
         rng=state.model_rng,
     )
     state.refresh_count += 1
@@ -390,15 +406,18 @@ def train(config: TrainConfig, dataset: Dataset, metrics_sink=None,
 
     metrics_sink receives each MetricRow; image_sink, when given and the
     data is square-image shaped, receives (iteration, samples, side).
-    Passing a prepared ``state`` (from a checkpoint) resumes mid-run.
+    Passing a prepared ``state`` (from a checkpoint) resumes mid-run; see
+    resumed_config.
     """
     if dataset.rows == 0:
         raise ConfigError("dataset is empty")
-    config.validate()
     eval_options = (eval_options or EvalOptions()).validate()
     clock = clock or time.perf_counter
     if state is None:
         state = init_state(config, dataset)
+    else:
+        state.config = resumed_config(config, state.config)
+    config = state.config  # the run's one config from here on
     ctx = build_eval_context(config, dataset, eval_options)
     start = clock()
     rows = []

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fisgan import checkpoint, data, train
-from fisgan.errors import FormatError
+from fisgan.errors import ConfigError, FormatError
 
 
 def ring_dataset(count=512, seed=0):
@@ -49,9 +49,11 @@ def test_save_load_round_trip(tmp_path, flow_kind):
     summary = train.train(config, ds, clock=fake_clock(),
                           eval_options=train.EvalOptions(interval=4, samples=64))
     path = tmp_path / "state.ckpt"
-    checkpoint.save_checkpoint(path, summary.state, experiment={"note": "t"})
+    # the header's experiment echo must itself be a valid experiment
+    echo = {"dataset": {"kind": "synthetic", "spec": {"kind": "ring", "count": 512}}}
+    checkpoint.save_checkpoint(path, summary.state, experiment=echo)
     loaded, experiment = checkpoint.load_checkpoint(path, ds)
-    assert experiment == {"note": "t"}
+    assert experiment == echo
     assert loaded.iteration == summary.state.iteration
     for a, b in zip(loaded.gen.parameters(), summary.state.gen.parameters()):
         assert np.array_equal(a, b)
@@ -93,6 +95,26 @@ def test_resume_matches_uninterrupted_run(tmp_path, flow_kind):
         assert a.g_loss == b.g_loss
 
 
+def test_resume_with_changed_config_writes_no_row(tmp_path):
+    ds = ring_dataset()
+    eval_options = train.EvalOptions(interval=4, samples=64)
+    first = train.train(cfg(max_iters=8), ds, clock=fake_clock(), eval_options=eval_options)
+    path = tmp_path / "half.ckpt"
+    checkpoint.save_checkpoint(path, first.state)
+    rows = []
+    for changed in (cfg(max_iters=16, mode="baseline"), cfg(max_iters=16, refresh_t=2)):
+        resumed_state, _ = checkpoint.load_checkpoint(path, ds)
+        with pytest.raises(ConfigError):
+            train.train(changed, ds, metrics_sink=rows.append, clock=fake_clock(),
+                        eval_options=eval_options, state=resumed_state)
+    assert rows == []
+    # max_iters is the one field a resume may change
+    resumed_state, _ = checkpoint.load_checkpoint(path, ds)
+    second = train.train(cfg(max_iters=12), ds, clock=fake_clock(),
+                         eval_options=eval_options, state=resumed_state)
+    assert second.state.config == cfg(max_iters=12)
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -103,10 +125,12 @@ def test_bad_magic(tmp_path):
 
 def test_version_mismatch(tmp_path):
     path = tmp_path / "vx.ckpt"
-    path.write_bytes(checkpoint.MAGIC + struct.pack("<II", 99, 0))
-    with pytest.raises(FormatError) as err:
-        checkpoint.load_checkpoint(path, ring_dataset())
-    assert "version" in str(err.value)
+    # version 1 headers carry a config with three fields TrainConfig dropped
+    for version in (1, 99):
+        path.write_bytes(checkpoint.MAGIC + struct.pack("<II", version, 0))
+        with pytest.raises(FormatError) as err:
+            checkpoint.load_checkpoint(path, ring_dataset())
+        assert "unsupported checkpoint version" in str(err.value)
 
 
 def write_cli_checkpoint(root, flow_kind):
@@ -178,9 +202,7 @@ def test_truncated_checkpoint_raises_format_error(cli_checkpoint, cut):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    dropped=st.sets(
-        st.sampled_from(checkpoint.HEADER_KEYS + ("flow_adam_step",)), min_size=0
-    ),
+    dropped=st.sets(st.sampled_from(checkpoint.HEADER_KEYS), min_size=0),
     extra=st.booleans(),
 )
 def test_header_key_set_is_enforced(cli_checkpoint, dropped, extra):
@@ -226,8 +248,11 @@ HEADER_EDITS = {
     "out_half_not_number": _set("out_half", value=[1.0]),
     "config_field_type": _set("config", "latent_dim", value="a"),
     "config_unknown_field": _set("config", "bogus", value=1),
+    "config_seed_negative": _set("config", "seed", value=-1),
+    "config_mode_unknown": _set("config", "mode", value="zzz"),
     "experiment_train_type": _set("experiment", "train", "seed", value=1.5),
     "experiment_not_dict": _set("experiment", value=3),
+    "experiment_spec_type": _set("experiment", "dataset", "spec", "count", value="x"),
     "flow_not_dict": _set("flow", value="x"),
     "flow_layers_not_list": _set("flow", "layers", value="x"),
     "flow_dim_mismatch": _set("flow", "dim", value=5),

@@ -1,7 +1,12 @@
+import dataclasses
 import json
 import os
 
-from fisgan import cli, data
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fisgan import checkpoint, cli, data, train
 
 
 def write_config(tmp_path, **over):
@@ -84,6 +89,64 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, **{"train.bogus_knob": 1})
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert "bogus_knob" in capsys.readouterr().err
+
+
+# for each annotated field type, JSON values a field of that type rejects
+_NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=4)
+                 | st.lists(st.integers(), max_size=2)
+                 | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_WRONG_VALUES = {
+    "int": _NOT_A_NUMBER | st.floats(allow_nan=False, allow_infinity=False),
+    "float": _NOT_A_NUMBER,
+    "str": (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.lists(st.text(max_size=2), max_size=2)),
+}
+_DROP = "<drop the field>"
+_CONFIG_FIELDS = [
+    pytest.param(section, f, id=f"{section}.{f.name}")
+    for section, cls in (("train", train.TrainConfig), ("eval", train.EvalOptions),
+                         ("dataset.spec", data.SyntheticSpec))
+    for f in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize("section, field", _CONFIG_FIELDS)
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(picks=st.data())
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, section, field, picks):
+    values = _WRONG_VALUES[field.type]
+    if field.default is dataclasses.MISSING:
+        values = values | st.just(_DROP)
+    value = picks.draw(values)
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    target = doc
+    for key in section.split("."):
+        target = target[key]
+    if value == _DROP:
+        del target[field.name]
+    else:
+        target[field.name] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize("flags, over", [
+    (["--seed", "-1"], {}),
+    ([], {"train.max_iters": 4.5}),
+    ([], {"dataset": {"kind": "synthetic",
+                      "spec": {"kind": "ring", "count": 256, "sigma": -1}}}),
+    ([], {"dataset": {"kind": "synthetic", "spec": {"kind": "ring"}}}),
+], ids=["seed_negative", "max_iters_float", "spec_sigma_negative", "spec_count_missing"])
+def test_invalid_config_value_exits_2(tmp_path, capsys, flags, over):
+    cfg = write_config(tmp_path, **over)
+    assert cli.main(["train", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_missing_dataset_path(tmp_path, capsys):
@@ -257,3 +320,45 @@ def test_cli_resume_extends_metrics(tmp_path):
         assert a.proxy_fid == b.proxy_fid
         assert a.d_loss == b.d_loss
         assert a.g_loss == b.g_loss
+    # the resumed checkpoint records the one config the run used
+    header, _ = checkpoint.read_header((half_dir / "final.ckpt").read_bytes(), ckpt)
+    assert header["config"] == header["experiment"]["train"]
+    assert header["config"]["max_iters"] == 10
+
+
+def _without_wall_ms(path):
+    return [line.rsplit(b",", 1)[0] for line in path.read_bytes().splitlines()]
+
+
+def test_cli_resume_drops_rows_past_checkpoint(tmp_path):
+    """A run that crashed after its checkpoint left rows a resume writes
+    again: the resumed CSV must still equal an uninterrupted run's."""
+    cfg_full = write_config(tmp_path, run_name="full", **{"train.max_iters": 10})
+    assert cli.main(["train", "--config", str(cfg_full)]) == 0
+    full_csv = tmp_path / "runs" / "full" / "metrics.csv"
+
+    cfg_half = write_config(tmp_path, run_name="half", **{"train.max_iters": 5})
+    assert cli.main(["train", "--config", str(cfg_half)]) == 0
+    half_dir = tmp_path / "runs" / "half"
+    (half_dir / "metrics.csv").write_bytes(full_csv.read_bytes())
+    cfg_resume = write_config(tmp_path, run_name="half", **{"train.max_iters": 10})
+    assert cli.main(["train", "--config", str(cfg_resume),
+                     "--resume", str(half_dir / "final.ckpt")]) == 0
+    assert _without_wall_ms(half_dir / "metrics.csv") == _without_wall_ms(full_csv)
+
+
+@pytest.mark.parametrize("flags, over", [
+    (["--mode", "baseline"], {}),
+    ([], {"train.refresh_t": 2}),
+], ids=["mode", "refresh_t"])
+def test_cli_resume_with_changed_config_exits_2(tmp_path, capsys, flags, over):
+    cfg_half = write_config(tmp_path, **{"train.max_iters": 5})
+    assert cli.main(["train", "--config", str(cfg_half)]) == 0
+    run_dir = tmp_path / "runs" / "t0"
+    before = (run_dir / "metrics.csv").read_bytes()
+    cfg_resume = write_config(tmp_path, **{"train.max_iters": 10, **over})
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_resume), *flags,
+                     "--resume", str(run_dir / "final.ckpt")]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert (run_dir / "metrics.csv").read_bytes() == before

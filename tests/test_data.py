@@ -218,3 +218,37 @@ def test_metrics_csv_field_order(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[:5] == ["5", "fis", "iaf", "frobenius", "1"]
+
+
+def test_truncate_metrics_csv_keeps_earlier_rows_bytewise(tmp_path):
+    path = tmp_path / "m.csv"
+    data.write_metrics_csv(
+        [data.MetricRow(i, "fis", "realnvp", "frobenius", 1, 2.5, 0.5, 0.25, 1.0 / 3.0)
+         for i in (0, 5, 10)], path
+    )
+    lines = path.read_bytes().splitlines(keepends=True)
+    data.truncate_metrics_csv(path, 11)
+    assert path.read_bytes() == b"".join(lines)
+    path.write_bytes(b"".join(lines) + b"15,fis,real")  # cut off mid-write
+    data.truncate_metrics_csv(path, 16)
+    assert path.read_bytes() == b"".join(lines)
+    data.truncate_metrics_csv(path, 6)
+    assert path.read_bytes() == b"".join(lines[:3])
+    assert not (tmp_path / "m.csv.tmp").exists()
+    path.write_bytes(lines[0] + b"x,fis\n")
+    with pytest.raises(FormatError):
+        data.truncate_metrics_csv(path, 6)
+
+
+def test_replaced_atomically_keeps_old_content_on_error(tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with data.replaced_atomically(path) as fh:
+            fh.write("half")
+            raise RuntimeError("crash mid-write")
+    assert path.read_text() == "old\n"
+    with data.replaced_atomically(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]

@@ -145,29 +145,6 @@ def test_build_dataset_heavy_cluster_share():
     assert near_heavy >= 0.70
 
 
-def test_trace_proportional_uniform_weights_match_identity():
-    latents = np.random.default_rng(6).standard_normal((4, 2))
-    batch_a = importance.LatentBatch(latents=latents, norms=np.ones(4))
-    batch_b = importance.LatentBatch(latents=latents, norms=np.ones(4))
-    a = importance.build_flow_dataset(batch_a, 16, np.random.default_rng(9), cov="identity")
-    b = importance.build_flow_dataset(
-        batch_b, 16, np.random.default_rng(9), cov="trace_proportional"
-    )
-    assert np.allclose(a, b)
-
-
-def test_trace_proportional_spreads_heavy_sources_wider():
-    latents = np.zeros((2, 2))
-    batch = importance.LatentBatch(latents=latents, norms=np.array([9.0, 1.0]))
-    out = importance.build_flow_dataset(
-        batch, 10_000, np.random.default_rng(10), cov="trace_proportional"
-    )
-    plan = importance.allocate_counts(batch.weights, 10_000)
-    heavy = out[: plan.counts[0]]
-    light = out[plan.counts[0] :]
-    assert heavy.std() > 2 * light.std()
-
-
 def test_plan_sum_mismatch_rejected():
     with pytest.raises(ShapeError):
         importance.AugmentationPlan(counts=np.array([1, 1]), total=3)

@@ -295,3 +295,5 @@ def test_invalid_config_rejected():
         small_config(lr_g=0.0).validate()
     with pytest.raises(ConfigError):
         small_config(mode="other").validate()
+    with pytest.raises(ConfigError):
+        small_config(seed=-1).validate()

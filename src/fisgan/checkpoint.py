@@ -156,6 +156,12 @@ def _rebuild_flow(meta, config, arrays, path):
                           f"{err!r}") from err
     for k, p in enumerate(model.parameters()):
         _restore(p, arrays, f"flow.p{k}", path)
+    # the passes read masked weights as they are, so masked entries must be zero
+    for layer in model.layers:
+        if isinstance(layer, flows.AutoregressiveLayer) and any(
+                np.any(dense.weights[dense.mask == 0]) for dense in layer.net.layers):
+            raise FormatError(f"{path}: autoregressive flow weights are non-zero "
+                              "outside their masks")
     return model
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError
-from .train import EvalOptions, TrainConfig, parse_fields
+from .train import EvalOptions, TrainConfig, is_json_type, parse_fields
 
 _DATASET_STREAM = 4
 
@@ -78,8 +78,15 @@ def _validate_dataset(ds):
         parse_fields(data.SyntheticSpec, ds.get("spec"), "dataset.spec")
     elif ds["kind"] == "idx":
         _reject_unknown(ds, _DATASET_KEYS_IDX, "dataset")
-        if "images" not in ds:
-            raise ConfigError("idx dataset needs an 'images' path")
+        if not is_json_type(ds.get("images"), "str"):
+            raise ConfigError("idx dataset needs an 'images' path string")
+        if ds.get("labels") is not None and not is_json_type(ds["labels"], "str"):
+            raise ConfigError("dataset.labels must be a path")
+        for key in ("crop_border", "downsample"):
+            value = ds.get(key, 0)
+            if not (is_json_type(value, "int") and value >= 0):
+                raise ConfigError(f"dataset.{key} must be a non-negative int, "
+                                  f"not {value!r}")
     else:
         raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
 
@@ -103,6 +110,10 @@ def experiment_from_dict(raw, base_dir="."):
     _reject_unknown(raw, _TOP_KEYS, "experiment")
     if "dataset" not in raw:
         raise ConfigError("experiment file needs a 'dataset' section")
+    if not is_json_type(raw.get("out_dir", "runs"), "str"):
+        raise ConfigError(f"out_dir must be a string, not {raw['out_dir']!r}")
+    if raw.get("run_name") is not None and not is_json_type(raw["run_name"], "str"):
+        raise ConfigError(f"run_name must be a string, not {raw['run_name']!r}")
     cfg = ExperimentConfig(
         train=parse_fields(TrainConfig, raw.get("train", {}), "train"),
         dataset=raw["dataset"],
@@ -162,7 +173,7 @@ def build_dataset(cfg: ExperimentConfig) -> data.Dataset:
         raise ConfigError(f"dataset.labels path does not exist: {labels}")
     loaded = data.load_idx(images, labels)
     if ds.get("crop_border"):
-        loaded = data.crop_border(loaded, int(ds["crop_border"]))
+        loaded = data.crop_border(loaded, ds["crop_border"])
     if ds.get("downsample"):
-        loaded = data.downsample(loaded, int(ds["downsample"]))
+        loaded = data.downsample(loaded, ds["downsample"])
     return loaded

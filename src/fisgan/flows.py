@@ -243,7 +243,7 @@ class AutoregressiveLayer:
         """
         d = self.dim
         *hidden_layers, out_layer = self.net.layers
-        weights = [layer.effective_weights() for layer in self.net.layers]
+        weights = [layer.weights for layer in self.net.layers]
         w = np.zeros_like(u)
         # acts[k] is the input of net layer k: w, then each hidden output
         acts = [w] + [np.zeros((u.shape[0], layer.out_dim)) for layer in hidden_layers]
@@ -319,7 +319,7 @@ class AutoregressiveLayer:
         z, h, mu, s, th, net_cache = payload
         d = self.dim
         layers = self.net.layers
-        weights = [layer.effective_weights() for layer in layers]
+        weights = [layer.weights for layer in layers]
         act_grads = [
             np.broadcast_to(nn.act_grad(u, y, layer.activation, layer.alpha), u.shape)
             for layer, (_, u, y) in zip(layers, net_cache)

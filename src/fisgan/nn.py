@@ -2,8 +2,9 @@
 
 Dense layers with explicit forward/backward passes over float64 numpy
 arrays.  Batches are row-major (n, features).  Layers may carry a binary
-connectivity mask on their weights (used by autoregressive flow subnets);
-masked entries stay zero through init, forward, and gradient updates.
+connectivity mask on their weights (used by autoregressive flow subnets):
+construction zeroes the masked entries and their gradients are masked, so
+they stay zero under Adam and every pass can use the weights as they are.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ class DenseLayer:
             raise ValueError("alpha must lie in (0, 1)")
         if self.weights.shape[0] != self.bias.shape[0]:
             raise ShapeError("bias length must match weight rows")
-        if self.mask is not None and self.mask.shape != self.weights.shape:
-            raise ShapeError("mask shape must match weight shape")
+        if self.mask is not None:
+            if self.mask.shape != self.weights.shape:
+                raise ShapeError("mask shape must match weight shape")
+            self.weights = self.weights * self.mask
 
     @property
     def in_dim(self):
@@ -55,11 +58,6 @@ class DenseLayer:
     @property
     def out_dim(self):
         return self.weights.shape[0]
-
-    def effective_weights(self):
-        if self.mask is None:
-            return self.weights
-        return self.weights * self.mask
 
 
 @dataclass
@@ -129,7 +127,7 @@ def _check_batch(net: MlpNet, batch):
 
 def _layer_forward(layer: DenseLayer, x):
     """One layer: (pre-activation, post-activation)."""
-    u = x @ layer.effective_weights().T + layer.bias
+    u = x @ layer.weights.T + layer.bias
     return u, act_forward(u, layer.activation, layer.alpha)
 
 
@@ -181,7 +179,7 @@ def backward(net: MlpNet, caches, upstream: np.ndarray):
             dw *= layer.mask
         grads[2 * k] = dw
         grads[2 * k + 1] = du.sum(axis=0)
-        g = du @ layer.effective_weights()
+        g = du @ layer.weights
     return grads, g
 
 
@@ -204,21 +202,38 @@ def jacobian_wrt_input(net: MlpNet, z: np.ndarray):
     return np.vstack(rows)
 
 
+# Bytes of one block's stacked adjoints in jacobian_batch; the block size
+# in examples follows from the net's shape.
+_JACOBIAN_BLOCK_BYTES = 2 << 20
+
+
 def jacobian_batch(net: MlpNet, latents: np.ndarray):
     """Per-example input Jacobians for a whole batch, shape (n, out, in).
 
-    Uses out_dim reverse passes total (each pass carries every row's
-    one-hot simultaneously), so cost does not scale with batch size.
+    One forward pass, then one reverse pass over stacked adjoints with no
+    parameter gradients: row (i, m) of the stack is example i's adjoint
+    for output m.  At the top layer that row is act'(u_i)[m] * W[m], the
+    one-hot product exactly; each lower layer is one elementwise multiply
+    and one matmul.  Examples go through in blocks that keep the stack
+    near 2 MB.
     """
     latents = np.asarray(latents, dtype=np.float64)
     _, caches = forward(net, latents)
-    n = latents.shape[0]
-    jac = np.empty((n, net.out_dim, net.in_dim))
-    for m in range(net.out_dim):
-        upstream = np.zeros((n, net.out_dim))
-        upstream[:, m] = 1.0
-        _, g_in = backward(net, caches, upstream)
-        jac[:, m, :] = g_in
+    n, out = latents.shape[0], net.out_dim
+    act_grads = [np.broadcast_to(act_grad(u, y, layer.activation, layer.alpha), u.shape)
+                 for layer, (_, u, y) in zip(net.layers, caches)]
+    *lower, top = net.layers
+    widest = max(layer.in_dim for layer in net.layers)
+    block = max(1, _JACOBIAN_BLOCK_BYTES // (8 * out * widest))
+    jac = np.empty((n, out, net.in_dim))
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        g = act_grads[-1][rows, :, None] * top.weights
+        for layer, grad in zip(reversed(lower), reversed(act_grads[:-1])):
+            g *= grad[rows, None, :]
+            g = (g.reshape(-1, layer.out_dim) @ layer.weights).reshape(
+                g.shape[0], out, layer.in_dim)
+        jac[rows] = g
     return jac
 
 
@@ -241,8 +256,6 @@ def build_mlp(rng, sizes, activations, alpha=0.2, masks=None, zero_last=False):
         mask = None if masks is None else masks[k]
         if zero_last and k == len(sizes) - 2:
             w = np.zeros_like(w)
-        if mask is not None:
-            w = w * mask
         layers.append(
             DenseLayer(
                 weights=w,
@@ -257,7 +270,12 @@ def build_mlp(rng, sizes, activations, alpha=0.2, masks=None, zero_last=False):
 
 @dataclass
 class AdamState:
-    """Adam moment buffers mirroring a parameter list."""
+    """Adam moments for a parameter list, in one flat buffer.
+
+    flat's rows are the first moment, the second moment and two scratch
+    vectors; m and v are views of the first two rows shaped like the
+    parameters, and updates are views of the last row.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -266,44 +284,63 @@ class AdamState:
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    flat: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
+    updates: list = field(default_factory=list)
 
 
 def init_adam(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     # lr == 0 is allowed (a deliberate no-op optimizer); negative is not.
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
-    return AdamState(
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        step=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+    shapes = [np.shape(p) for p in params]
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.zeros((4, sum(sizes)))
+    splits = np.cumsum(sizes)[:-1]
+
+    def views(row):
+        return [part.reshape(shape) for part, shape in zip(np.split(row, splits), shapes)]
+
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
+                     m=views(flat[0]), v=views(flat[1]), flat=flat,
+                     updates=views(flat[3]))
 
 
 def adam_step(params, grads, state: AdamState):
     """One bias-corrected Adam update, in place on params.
 
     Rejects the whole update (state untouched) if any gradient entry is
-    non-finite.
+    non-finite.  The moments update as flat vectors, with the arithmetic
+    of the per-element formula in the same order.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params/grads/state lengths disagree")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
+    for p, g, m in zip(params, grads, state.m):
+        if p.shape != g.shape or p.shape != m.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient entry; update rejected")
+    m, v, g, s = state.flat
+    if params:
+        np.concatenate([np.ravel(x) for x in grads], out=g)
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite gradient entry; update rejected")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=s)
+    m += s
+    np.multiply(g, g, out=s)
+    s *= 1.0 - state.beta2
+    v *= state.beta2
+    v += s
+    # s = lr (m / bc1) / (sqrt(v / bc2) + eps)
+    np.divide(m, bc1, out=s)
+    s *= state.lr
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    s /= g
+    for p, step in zip(params, state.updates):
+        p -= step
     return params, state

@@ -78,8 +78,12 @@ class TrainConfig:
             raise ConfigError(f"unknown norm kind {self.norm_kind!r}")
         if self.flow_kind not in flows.FLOW_KINDS:
             raise ConfigError(f"unknown flow kind {self.flow_kind!r}")
-        if self.batch_size < 1 or self.max_iters < 0 or self.augment_N < 1:
-            raise ConfigError("batch_size/augment_N must be positive, max_iters >= 0")
+        if min(self.batch_size, self.augment_N, self.flow_batch, self.flow_depth,
+               self.flow_hidden) < 1:
+            raise ConfigError("batch_size, augment_N, flow_batch, flow_depth and "
+                              "flow_hidden must be at least 1")
+        if self.max_iters < 0 or self.flow_epochs < 0:
+            raise ConfigError("max_iters and flow_epochs must be non-negative")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         return self
@@ -98,6 +102,8 @@ class EvalOptions:
     def validate(self):
         if self.interval < 1 or self.samples < 2:
             raise ConfigError("eval interval must be >= 1 and samples >= 2")
+        if self.pca_k < 1 or self.grid_cols < 1:
+            raise ConfigError("eval pca_k and grid_cols must be at least 1")
         if self.extractor not in metrics.EXTRACTOR_KINDS:
             raise ConfigError(f"unknown extractor kind {self.extractor!r}")
         return self

@@ -260,6 +260,19 @@ HEADER_EDITS = {
     "ar_clamp_type": _set("flow", "layers", 1, "clamp", value="x"),
     "ar_degrees_not_permutation": _set("flow", "layers", 0, "degrees", value=[1, 1, 1, 1]),
     "ar_degrees_short": _set("flow", "layers", 0, "degrees", value=[1, 2]),
+    "experiment_run_name_int": _set("experiment", "run_name", value=5),
+    "experiment_out_dir_list": _set("experiment", "out_dir", value=["a"]),
+    "experiment_crop_border_str": _set("experiment", "dataset", value={
+        "kind": "idx", "images": "glyphs.idx", "crop_border": "x"}),
+    "experiment_downsample_str": _set("experiment", "dataset", value={
+        "kind": "idx", "images": "glyphs.idx", "downsample": "x"}),
+    "config_flow_batch_zero": _set("config", "flow_batch", value=0),
+    "config_flow_hidden_zero": _set("config", "flow_hidden", value=0),
+    "config_flow_depth_zero": _set("config", "flow_depth", value=0),
+    "config_flow_epochs_negative": _set("config", "flow_epochs", value=-1),
+    "experiment_pca_k_zero": _set("experiment", "eval", "pca_k", value=0),
+    "experiment_grid_cols_zero": _set("experiment", "eval", "grid_cols", value=0),
+    "experiment_centers_zero": _set("experiment", "dataset", "spec", "centers", value=0),
 }
 
 
@@ -280,3 +293,17 @@ def test_iaf_checkpoint_evaluates(cli_iaf_checkpoint):
     path = root / "intact.ckpt"
     path.write_bytes(_with_header(blob, checkpoint.read_header(blob, "final.ckpt")[0]))
     assert cli.main(["eval", "--checkpoint", str(path), "--samples", "8"]) == 0
+
+
+def test_nonzero_masked_flow_weight_raises_format_error(cli_iaf_checkpoint):
+    root, blob, dataset = cli_iaf_checkpoint
+    path = root / "intact.ckpt"
+    path.write_bytes(blob)
+    state, experiment = checkpoint.load_checkpoint(path, dataset)
+    dense = state.flow.layers[0].net.layers[0]
+    dense.weights[tuple(np.argwhere(dense.mask == 0)[0])] = 0.5
+    leaked = root / "leaked.ckpt"
+    checkpoint.save_checkpoint(leaked, state, experiment=experiment)
+    with pytest.raises(FormatError, match="outside their masks"):
+        checkpoint.load_checkpoint(leaked, dataset)
+    _assert_rejected(leaked, dataset)

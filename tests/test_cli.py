@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -141,10 +142,37 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, section, field, pick
     ([], {"dataset": {"kind": "synthetic",
                       "spec": {"kind": "ring", "count": 256, "sigma": -1}}}),
     ([], {"dataset": {"kind": "synthetic", "spec": {"kind": "ring"}}}),
-], ids=["seed_negative", "max_iters_float", "spec_sigma_negative", "spec_count_missing"])
+    ([], {"run_name": 5}),
+    ([], {"out_dir": ["a"]}),
+    ([], {"train.flow_batch": 0}),
+    ([], {"train.flow_hidden": 0}),
+    ([], {"train.flow_depth": 0}),
+    ([], {"train.flow_epochs": -1}),
+    ([], {"eval.pca_k": 0}),
+    ([], {"eval.grid_cols": 0}),
+    ([], {"dataset": {"kind": "synthetic",
+                      "spec": {"kind": "ring", "count": 256, "centers": 0}}}),
+], ids=["seed_negative", "max_iters_float", "spec_sigma_negative", "spec_count_missing",
+        "run_name_int", "out_dir_list", "flow_batch_zero", "flow_hidden_zero",
+        "flow_depth_zero", "flow_epochs_negative", "pca_k_zero", "grid_cols_zero",
+        "spec_centers_zero"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, flags, over):
     cfg = write_config(tmp_path, **over)
     assert cli.main(["train", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("crop_border", "x"), ("downsample", "x"), ("crop_border", -1),
+    ("downsample", 1.5), ("images", 5), ("labels", ["a"]),
+])
+def test_invalid_idx_dataset_value_exits_2(tmp_path, capsys, field, value):
+    images = tmp_path / "images.idx"
+    data.write_idx(np.zeros((4, 8, 8), dtype=np.uint8), images)
+    dataset = {"kind": "idx", "images": str(images), field: value}
+    cfg = write_config(tmp_path, dataset=dataset)
+    assert cli.main(["train", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (tmp_path / "runs").exists()
 

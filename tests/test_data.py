@@ -85,6 +85,21 @@ def test_downsample_preserves_mean():
     assert np.allclose(pooled.samples.mean(axis=1), ds.samples.mean(axis=1))
 
 
+@pytest.mark.parametrize("factor", range(1, 10))
+def test_downsample_matches_numpy_block_mean(factor):
+    rng = np.random.default_rng(factor)
+    side = 5 * factor
+    samples = rng.uniform(-1, 1, size=(7, side * side)) * 10.0 ** rng.integers(-3, 3, (7, 1))
+    pooled = data.downsample(data.Dataset(samples=samples), factor).samples
+    out = side // factor
+    mean = samples.reshape(-1, out, factor, out, factor).mean(axis=(2, 4))
+    mean = mean.reshape(-1, out * out)
+    if factor <= 7:
+        assert pooled.tobytes() == mean.tobytes()
+    else:  # numpy's mean sums runs of 8 or more pairwise
+        assert np.max(np.abs(pooled - mean)) <= 4 * np.finfo(float).eps * np.abs(mean).max()
+
+
 def test_downsample_indivisible_side():
     ds = data.Dataset(samples=np.zeros((1, 25)))
     with pytest.raises(ShapeError):

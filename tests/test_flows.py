@@ -248,10 +248,19 @@ def test_fit_gradients_match_finite_differences(kind):
 
     step = 1e-6
     params = flow.parameters()
+    # masked weights stay zero by contract (the passes read weights as they
+    # are), so they are not perturbed; their gradient must be exactly zero
+    masks = {id(dense.weights): dense.mask for layer in flow.layers
+             if isinstance(layer, flows.AutoregressiveLayer) for dense in layer.net.layers}
     for p, g in zip(params, grads):
+        mask = masks.get(id(p))
         it = np.nditer(p, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
+            if mask is not None and mask[idx] == 0:
+                assert g[idx] == 0.0, (kind, idx)
+                it.iternext()
+                continue
             orig = p[idx]
             p[idx] = orig + step
             plus = loss()
@@ -394,9 +403,15 @@ def test_iaf_layer_gradients_match_finite_differences():
     _, _, cache = layer.forward(z)
     g_z, grads = layer.backward(cache, c_h, c_log_det)
     step = 1e-6
-    # masked weights get a zero gradient and have no effect on the loss
+    # masked weights stay zero by contract, so they are not perturbed; their
+    # gradient must be exactly zero
+    masks = {id(dense.weights): dense.mask for dense in layer.net.layers}
     for target, analytic in [(z, g_z), *zip(layer.parameters(), grads)]:
+        mask = masks.get(id(target))
         for idx in np.ndindex(target.shape):
+            if mask is not None and mask[idx] == 0:
+                assert analytic[idx] == 0.0, idx
+                continue
             orig = target[idx]
             target[idx] = orig + step
             plus = loss(z)

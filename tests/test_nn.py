@@ -1,8 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisgan import nn
 from fisgan.errors import NumericError, ShapeError, StateError
+
+
+def reference_jacobian_batch(net, latents):
+    """Test oracle: out_dim reverse passes of one-hot rows over one forward
+    cache, one Jacobian row per pass."""
+    latents = np.asarray(latents, dtype=np.float64)
+    _, caches = nn.forward(net, latents)
+    n = latents.shape[0]
+    jac = np.empty((n, net.out_dim, net.in_dim))
+    for m in range(net.out_dim):
+        upstream = np.zeros((n, net.out_dim))
+        upstream[:, m] = 1.0
+        _, g_in = nn.backward(net, caches, upstream)
+        jac[:, m, :] = g_in
+    return jac
+
+
+def reference_adam_step(params, grads, m_list, v_list, step, lr,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """Test oracle: Adam updated array by array; returns the new step."""
+    t = step + 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return t
 
 
 def finite_diff_param_grads(net, batch, loss_fn, step=1e-5):
@@ -215,6 +247,103 @@ def test_jacobian_batch_matches_single():
     for i in range(5):
         single = nn.jacobian_wrt_input(net, latents[i])
         assert np.max(np.abs(jac[i] - single)) < 1e-12
+
+
+GLYPH_G = ([64, 128, 256, 64], ["leaky_relu", "leaky_relu", "tanh"])
+RING_G = ([64, 128, 256, 2], ["leaky_relu", "leaky_relu", "tanh"])
+
+
+def masked_net(rng):
+    sizes = [6, 9, 7, 5]
+    masks = [(rng.random((o, i)) < 0.6).astype(np.float64)
+             for i, o in zip(sizes, sizes[1:])]
+    return nn.build_mlp(rng, sizes, ["relu", "sigmoid", "identity"], masks=masks)
+
+
+@pytest.mark.parametrize("shape, n", [
+    (GLYPH_G, 64),  # the glyph generator at its batch size: 4 blocks of 16
+    (GLYPH_G, 40),  # a short last block
+    (GLYPH_G, 2),
+    (RING_G, 128),  # the ring generator: one block
+    ("masked", 33),
+])
+def test_jacobian_batch_matches_one_hot_loop_bitwise(shape, n):
+    rng = np.random.default_rng(23)
+    net = masked_net(rng) if shape == "masked" else nn.build_mlp(rng, *shape)
+    latents = rng.standard_normal((n, net.in_dim))
+    jac = nn.jacobian_batch(net, latents)
+    assert jac.tobytes() == reference_jacobian_batch(net, latents).tobytes()
+
+
+def test_jacobian_batch_single_example():
+    # numpy hands the loop's one-row products to a matrix-vector kernel,
+    # which sums in another order, so one example agrees to rounding only
+    rng = np.random.default_rng(24)
+    net = nn.build_mlp(rng, *GLYPH_G)
+    latents = rng.standard_normal((1, 64))
+    ref = reference_jacobian_batch(net, latents)
+    assert np.max(np.abs(nn.jacobian_batch(net, latents) - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+def test_jacobian_batch_is_one_forward_and_no_backward(monkeypatch):
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nn, "forward", counted("forward", nn.forward))
+    monkeypatch.setattr(nn, "backward", counted("backward", nn.backward))
+    rng = np.random.default_rng(25)
+    nn.jacobian_batch(nn.build_mlp(rng, *GLYPH_G), rng.standard_normal((64, 64)))
+    assert calls == {"forward": 1, "backward": 0}
+
+
+_SHAPES = st.lists(st.lists(st.integers(1, 5), min_size=0, max_size=3).map(tuple),
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=_SHAPES, steps=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       lr=st.sampled_from([1e-4, 1e-3, 0.05]))
+def test_adam_step_matches_per_array_reference(shapes, steps, seed, lr):
+    rng = np.random.default_rng(seed)
+    params = [rng.standard_normal(shape) for shape in shapes]
+    ref_params = [p.copy() for p in params]
+    ref_m = [np.zeros(shape) for shape in shapes]
+    ref_v = [np.zeros(shape) for shape in shapes]
+    state = nn.init_adam(params, lr=lr)
+    ref_step = 0
+    for _ in range(steps):
+        scale = 10.0 ** rng.integers(-6, 4)
+        grads = [scale * rng.standard_normal(shape) for shape in shapes]
+        nn.adam_step(params, grads, state)
+        ref_step = reference_adam_step(ref_params, grads, ref_m, ref_v, ref_step, lr)
+    assert state.step == ref_step
+    for got, want in zip(params + state.m + state.v, ref_params + ref_m + ref_v):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_adam_nonfinite_gradient_leaves_state_untouched(bad, which):
+    rng = np.random.default_rng(26)
+    shapes = [(4, 3), (3,), (2, 2, 2)]
+    params = [rng.standard_normal(shape) for shape in shapes]
+    state = nn.init_adam(params, lr=1e-2)
+    for _ in range(3):
+        nn.adam_step(params, [rng.standard_normal(shape) for shape in shapes], state)
+    before = [a.copy() for a in params + state.m + state.v]
+    grads = [rng.standard_normal(shape) for shape in shapes]
+    grads[which].flat[-1] = bad
+    with pytest.raises(NumericError):
+        nn.adam_step(params, grads, state)
+    assert state.step == 3
+    for got, want in zip(params + state.m + state.v, before):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_adam_zero_gradients_no_move():

@@ -70,8 +70,10 @@ def tier1_wall():
                            "--continue-on-collection-errors", "-p", "no:cacheprovider"],
                           cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True, check=False)
     seconds = time.perf_counter() - start
-    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    return {"seconds": round(seconds, 1), "exit_code": proc.returncode, "summary": summary}
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": round(seconds, 1), "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else "",
+            "failed": [line for line in lines if line.startswith("FAILED")]}
 
 
 def main():

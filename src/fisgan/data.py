@@ -179,12 +179,16 @@ def downsample(dataset: Dataset, factor):
         raise ShapeError(f"image side {side} not divisible by factor {factor}")
     out = side // factor
     imgs = dataset.samples.reshape(-1, out, factor, out, factor)
-    rows = imgs[..., 0].copy()
-    for j in range(1, factor):
-        rows += imgs[..., j]
-    pooled = rows[:, :, 0].copy()
+
+    def block_row_sum(i):
+        acc = imgs[:, :, i, :, 0].copy()
+        for j in range(1, factor):
+            acc += imgs[:, :, i, :, j]
+        return acc
+
+    pooled = block_row_sum(0)
     for i in range(1, factor):
-        pooled += rows[:, :, i]
+        pooled += block_row_sum(i)
     pooled /= factor * factor
     return Dataset(samples=pooled.reshape(-1, out * out), labels=dataset.labels,
                    pixel_range=dataset.pixel_range)

@@ -102,8 +102,9 @@ class EvalOptions:
     def validate(self):
         if self.interval < 1 or self.samples < 2:
             raise ConfigError("eval interval must be >= 1 and samples >= 2")
-        if self.pca_k < 1 or self.grid_cols < 1:
-            raise ConfigError("eval pca_k and grid_cols must be at least 1")
+        if min(self.pca_k, self.grid_count, self.grid_cols) < 1 or self.ridge < 0:
+            raise ConfigError("eval pca_k, grid_count and grid_cols must be at least 1, "
+                              "ridge non-negative")
         if self.extractor not in metrics.EXTRACTOR_KINDS:
             raise ConfigError(f"unknown extractor kind {self.extractor!r}")
         return self

@@ -272,6 +272,8 @@ HEADER_EDITS = {
     "config_flow_epochs_negative": _set("config", "flow_epochs", value=-1),
     "experiment_pca_k_zero": _set("experiment", "eval", "pca_k", value=0),
     "experiment_grid_cols_zero": _set("experiment", "eval", "grid_cols", value=0),
+    "experiment_grid_count_zero": _set("experiment", "eval", "grid_count", value=0),
+    "experiment_ridge_negative": _set("experiment", "eval", "ridge", value=-1.0),
     "experiment_centers_zero": _set("experiment", "dataset", "spec", "centers", value=0),
 }
 

@@ -150,12 +150,14 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, section, field, pick
     ([], {"train.flow_epochs": -1}),
     ([], {"eval.pca_k": 0}),
     ([], {"eval.grid_cols": 0}),
+    ([], {"eval.grid_count": -3}),
+    ([], {"eval.ridge": -1.0}),
     ([], {"dataset": {"kind": "synthetic",
                       "spec": {"kind": "ring", "count": 256, "centers": 0}}}),
 ], ids=["seed_negative", "max_iters_float", "spec_sigma_negative", "spec_count_missing",
         "run_name_int", "out_dir_list", "flow_batch_zero", "flow_hidden_zero",
         "flow_depth_zero", "flow_epochs_negative", "pca_k_zero", "grid_cols_zero",
-        "spec_centers_zero"])
+        "grid_count_negative", "ridge_negative", "spec_centers_zero"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, flags, over):
     cfg = write_config(tmp_path, **over)
     assert cli.main(["train", "--config", str(cfg), *flags]) == 2

@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
 """Record a BENCH_<n>.json file at the repo root.
 
-    python3 scripts/record_bench.py --n 7 --seeds 901,902,903
     python3 scripts/record_bench.py --n 7 --seeds 901,902 --parent ../parent-checkout
 
-Runs ``perfbench/run.py --workload all --seed <s>`` once per seed and keeps
-every workload's end-to-end metrics per seed and their medians and
-quartiles, the environment lines the benchmark prints, the git SHA and the
-wall time of the tier-1 suite (``python -m pytest -q`` over tests/, BLAS
-pinned to one thread).  With --parent, the same benchmark command is also
-run from that checkout for every seed, alternating which side goes first,
-and the file gets the parent's per-seed metrics and medians, plus how many
-seeds the change won on each metric.
+Runs ``perfbench/run.py --workload all --seed <s>`` once per seed, from this
+checkout and from the --parent checkout it is compared against, alternating
+which side goes first.  The file keeps both sides' end-to-end metrics per
+seed with their medians and quartiles, how many seeds the change won on
+each metric, the environment lines the benchmark prints, both git SHAs and
+the wall time of the tier-1 suite (``python -m pytest -q`` over tests/,
+BLAS pinned to one thread).
 """
 
 import argparse
@@ -33,10 +31,10 @@ def git_sha(checkout):
     return proc.stdout.strip() or None
 
 
-def run_benchmark(checkout, seed, seconds):
+def run_benchmark(checkout, seed):
     """One ``--workload all`` run; returns (result JSON, env lines)."""
     argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all",
-            "--seed", str(seed), "--seconds", str(seconds)]
+            "--seed", str(seed)]
     proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True,
                           check=False)
     lines = proc.stdout.splitlines()
@@ -81,22 +79,19 @@ def main():
     parser.add_argument("--n", required=True, type=int, help="the N of BENCH_<N>.json")
     parser.add_argument("--seeds", required=True,
                         help="comma-separated benchmark seeds, one run each")
-    parser.add_argument("--seconds", type=float, default=40.0,
-                        help="run length per workload, as perfbench/run.py --seconds")
-    parser.add_argument("--parent", type=Path,
+    parser.add_argument("--parent", required=True, type=Path,
                         help="checkout of the commit this one is compared against")
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    sides = {"change": ROOT} if args.parent is None else {"change": ROOT,
-                                                          "parent": args.parent.resolve()}
+    sides = {"change": ROOT, "parent": args.parent.resolve()}
     runs = {side: [] for side in sides}
     env = units = None
     for k, seed in enumerate(seeds):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for side in order:
             print(f"seed {seed}: {side}", flush=True)
-            result, run_env = run_benchmark(sides[side], seed, args.seconds)
+            result, run_env = run_benchmark(sides[side], seed)
             runs[side].append({
                 "seed": seed, "ran_first": side == order[0],
                 "correct": result["correct"], "attempted": result["attempted"],
@@ -109,22 +104,20 @@ def main():
 
     bench = {
         "bench": args.n,
-        "command": "python3 perfbench/run.py --workload all --seed <seed> "
-                   f"--seconds {args.seconds:g}",
+        "command": "python3 perfbench/run.py --workload all --seed <seed>",
         "environment": env,
         "seeds": seeds,
         "change": {"git_sha": git_sha(ROOT), "per_seed": runs["change"],
                    "summary": summarize(runs["change"], units)},
-    }
-    if args.parent is not None:
-        bench["parent"] = {"git_sha": git_sha(args.parent), "per_seed": runs["parent"],
-                           "summary": summarize(runs["parent"], units)}
+        "parent": {"git_sha": git_sha(sides["parent"]), "per_seed": runs["parent"],
+                   "summary": summarize(runs["parent"], units)},
         # every end-to-end metric is better when lower
-        bench["change_wins"] = {
+        "change_wins": {
             name: sum(c["metrics"][name] < p["metrics"][name]
                       for c, p in zip(runs["change"], runs["parent"]))
             for name in units
-        }
+        },
+    }
     print("tier-1 suite", flush=True)
     bench["tier1"] = tier1_wall()
     path = ROOT / f"BENCH_{args.n}.json"

@@ -272,37 +272,47 @@ def build_mlp(rng, sizes, activations, alpha=0.2, masks=None, zero_last=False):
 class AdamState:
     """Adam moments for a parameter list, in one flat buffer.
 
-    flat's rows are the first moment, the second moment and two scratch
-    vectors; m and v are views of the first two rows shaped like the
-    parameters, and updates are views of the last row.
+    The given m and v are copied into the first two rows of the flat
+    buffer and replaced by views of it, shaped like the parameters; the
+    last two rows are scratch for adam_step.
     """
 
     lr: float
+    m: list
+    v: list
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    flat: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
-    updates: list = field(default_factory=list)
+    _flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _updates: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shapes = [np.shape(m) for m in self.m]
+        if [np.shape(v) for v in self.v] != shapes:
+            raise ShapeError("Adam moment shapes disagree")
+        sizes = [math.prod(shape) for shape in shapes]
+        self._flat = np.zeros((4, sum(sizes)))
+        splits = np.cumsum(sizes)[:-1]
+
+        def views(row, values):
+            parts = [part.reshape(shape)
+                     for part, shape in zip(np.split(row, splits), shapes)]
+            for part, value in zip(parts, values):
+                part[...] = value
+            return parts
+
+        self.m = views(self._flat[0], self.m)
+        self.v = views(self._flat[1], self.v)
+        self._updates = views(self._flat[3], ())
 
 
 def init_adam(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     # lr == 0 is allowed (a deliberate no-op optimizer); negative is not.
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
-    shapes = [np.shape(p) for p in params]
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = np.zeros((4, sum(sizes)))
-    splits = np.cumsum(sizes)[:-1]
-
-    def views(row):
-        return [part.reshape(shape) for part, shape in zip(np.split(row, splits), shapes)]
-
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                     m=views(flat[0]), v=views(flat[1]), flat=flat,
-                     updates=views(flat[3]))
+    zeros = [np.zeros(np.shape(p)) for p in params]
+    return AdamState(lr=lr, m=zeros, v=zeros, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -317,7 +327,7 @@ def adam_step(params, grads, state: AdamState):
     for p, g, m in zip(params, grads, state.m):
         if p.shape != g.shape or p.shape != m.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    m, v, g, s = state.flat
+    m, v, g, s = state._flat
     if params:
         np.concatenate([np.ravel(x) for x in grads], out=g)
     if not np.isfinite(g).all():
@@ -341,6 +351,6 @@ def adam_step(params, grads, state: AdamState):
     np.sqrt(g, out=g)
     g += state.eps
     s /= g
-    for p, step in zip(params, state.updates):
+    for p, step in zip(params, state._updates):
         p -= step
     return params, state

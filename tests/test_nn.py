@@ -346,6 +346,27 @@ def test_adam_nonfinite_gradient_leaves_state_untouched(bad, which):
         assert got.tobytes() == want.tobytes()
 
 
+def test_adam_state_built_from_moments_matches_reference():
+    rng = np.random.default_rng(27)
+    shapes = [(3, 2), (2,)]
+    params = [rng.standard_normal(shape) for shape in shapes]
+    ref_params = [p.copy() for p in params]
+    ref_m = [rng.standard_normal(shape) for shape in shapes]
+    ref_v = [rng.random(shape) for shape in shapes]
+    state = nn.AdamState(lr=1e-2, m=[m.copy() for m in ref_m],
+                         v=[v.copy() for v in ref_v], step=4)
+    grads = [rng.standard_normal(shape) for shape in shapes]
+    nn.adam_step(params, grads, state)
+    assert state.step == reference_adam_step(ref_params, grads, ref_m, ref_v, 4, 1e-2)
+    for got, want in zip(params + state.m + state.v, ref_params + ref_m + ref_v):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_adam_state_rejects_mismatched_moments():
+    with pytest.raises(ShapeError):
+        nn.AdamState(lr=0.1, m=[np.zeros(2)], v=[np.zeros(3)])
+
+
 def test_adam_zero_gradients_no_move():
     p = [np.array([1.0, -2.0]), np.array([[3.0]])]
     state = nn.init_adam(p, lr=0.1)

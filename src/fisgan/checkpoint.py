@@ -2,7 +2,7 @@
 
 Layout: magic b"FISG", u32 format version, u32 header length, a UTF-8
 JSON header (config echo, iteration, rng states, optimizer counters, and
-the flow's structural description), then a count-prefixed list of named
+the flow's permutations), then a count-prefixed list of named
 little-endian float64 tensors.  Loading reproduces training bit-exactly
 from the stored iteration.
 """
@@ -18,13 +18,13 @@ import numpy as np
 
 from . import data, flows
 from .config import experiment_from_dict
-from .errors import ConfigError, FisGanError, FormatError
+from .errors import ConfigError, FormatError, ShapeError
 from .train import TrainConfig, TrainState, init_state, is_json_type, parse_fields
 
 MAGIC = b"FISG"
-# 2: the config lost augment_cov, gen_loss and flow_warm_start, and the
-# flow's Adam state (rebuilt by every refresh) is no longer stored
-VERSION = 2
+# 3: the flow's layout is rebuilt from the config; the header keeps only
+# the realnvp permutations, which build_flow draws at random
+VERSION = 3
 # every header carries exactly these keys
 HEADER_KEYS = (
     "config", "experiment", "iteration", "refresh_count", "refresh_ms_total",
@@ -33,20 +33,6 @@ HEADER_KEYS = (
 )
 _COUNTER_KEYS = ("iteration", "refresh_count", "adam_g_step", "adam_d_step")
 _NUMBER_KEYS = ("refresh_ms_total", "out_mid", "out_half")
-
-
-def _flow_structure(flow):
-    layers = []
-    for layer in flow.layers:
-        if isinstance(layer, flows.CouplingLayer):
-            layers.append({"type": "coupling", "mask": layer.mask.astype(int).tolist(),
-                           "clamp": layer.scale_clamp})
-        elif isinstance(layer, flows.PermutationLayer):
-            layers.append({"type": "perm", "perm": layer.perm.tolist()})
-        else:
-            layers.append({"type": "ar", "degrees": layer.degrees.tolist(),
-                           "direction": layer.direction, "clamp": layer.scale_clamp})
-    return {"kind": flow.kind, "dim": flow.dim, "layers": layers}
 
 
 def _net_arrays(prefix, net):
@@ -66,7 +52,7 @@ def _adam_arrays(prefix, state):
 
 
 def _restore(target, arrays, name, path):
-    stored = arrays.get(name)
+    stored = arrays.pop(name, None)
     if stored is None or stored.shape != target.shape:
         raise FormatError(f"{path}: tensor {name!r} is missing or has the wrong shape")
     target[...] = stored
@@ -106,7 +92,8 @@ def save_checkpoint(path, state: TrainState, experiment=None):
         "flow": None,
     }
     if state.flow is not None:
-        header["flow"] = _flow_structure(state.flow)
+        header["flow"] = [layer.perm.tolist() for layer in state.flow.layers
+                          if isinstance(layer, flows.PermutationLayer)]
         for k, p in enumerate(state.flow.parameters()):
             arrays[f"flow.p{k}"] = p
     blob = json.dumps(header).encode("utf-8")
@@ -125,35 +112,24 @@ def save_checkpoint(path, state: TrainState, experiment=None):
             fh.write(arr.tobytes())
 
 
-def _rebuild_flow(meta, config, arrays, path):
-    # structure comes from the header; weights overwrite the scratch init
-    scratch = np.random.default_rng(0)
-    hidden = config.flow_hidden
+def _load_flow(perms, config, arrays, path):
+    """The config's flow with the stored permutations and parameters."""
+    # every draw from the scratch stream is overwritten: permutations here,
+    # weights below
+    built = flows.build_flow(config.flow_kind, config.latent_dim, np.random.default_rng(0),
+                             depth=config.flow_depth, hidden=config.flow_hidden)
+    layers = built.layers
+    slots = [k for k, layer in enumerate(layers) if isinstance(layer, flows.PermutationLayer)]
+    if len(perms) != len(slots):
+        raise FormatError(f"{path}: checkpoint stores {len(perms)} flow permutations, "
+                          f"its config builds {len(slots)}")
     try:
-        rebuilt_layers = []
-        for entry in meta["layers"]:
-            if entry["type"] == "coupling":
-                mask = np.asarray(entry["mask"], dtype=bool)
-                n_in = int(mask.sum())
-                n_out = meta["dim"] - n_in
-                scale_net = flows._coupling_subnet(scratch, n_in, n_out, hidden)
-                shift_net = flows._coupling_subnet(scratch, n_in, n_out, hidden)
-                rebuilt_layers.append(
-                    flows.CouplingLayer(mask, scale_net, shift_net, entry["clamp"])
-                )
-            elif entry["type"] == "perm":
-                rebuilt_layers.append(flows.PermutationLayer(np.asarray(entry["perm"])))
-            else:
-                degrees = np.asarray(entry["degrees"])
-                net = flows._masked_subnet(scratch, degrees, hidden)
-                rebuilt_layers.append(
-                    flows.AutoregressiveLayer(net, degrees, entry["direction"],
-                                              entry["clamp"])
-                )
-        model = flows.FlowModel(rebuilt_layers, meta["dim"], meta["kind"])
-    except (FisGanError, TypeError, ValueError, KeyError, IndexError) as err:
-        raise FormatError(f"{path}: corrupt flow structure in checkpoint header: "
-                          f"{err!r}") from err
+        for k, perm in zip(slots, perms):
+            layers[k] = flows.PermutationLayer(perm)
+        model = flows.FlowModel(layers, built.dim, built.kind)
+    except (ShapeError, ValueError) as err:
+        raise FormatError(f"{path}: bad flow permutation in checkpoint header: "
+                          f"{err}") from err
     for k, p in enumerate(model.parameters()):
         _restore(p, arrays, f"flow.p{k}", path)
     # the passes read masked weights as they are, so masked entries must be zero
@@ -180,9 +156,9 @@ def _unpack(fmt, blob, offset, path, what):
 
 def _check_header_values(header, path):
     """FormatError unless every header value has the type loading relies on;
-    the flow structure's own contents are checked when it is rebuilt."""
+    the flow's permutations themselves are checked when it is rebuilt."""
     try:
-        parse_fields(TrainConfig, header["config"], "config").validate()
+        config = parse_fields(TrainConfig, header["config"], "config").validate()
         if header["experiment"] is not None:
             experiment_from_dict(header["experiment"])
     except ConfigError as err:
@@ -201,8 +177,11 @@ def _check_header_values(header, path):
         except (TypeError, ValueError, KeyError, OverflowError) as err:
             raise FormatError(f"{path}: checkpoint {key!r} is not a PCG64 state: "
                               f"{err!r}") from err
-    if header["flow"] is not None and not isinstance(header["flow"], dict):
-        raise FormatError(f"{path}: checkpoint flow is not a JSON object")
+    if header["flow"] is not None:
+        if not isinstance(header["flow"], list):
+            raise FormatError(f"{path}: checkpoint flow is not a list of permutations")
+        if config.mode != "fis":
+            raise FormatError(f"{path}: checkpoint stores a flow for a {config.mode!r} run")
 
 
 def read_header(blob, path):
@@ -288,5 +267,8 @@ def load_checkpoint(path, dataset, blob=None):
     state.out_mid = header["out_mid"]
     state.out_half = header["out_half"]
     if header["flow"] is not None:
-        state.flow = _rebuild_flow(header["flow"], config, arrays, path)
+        state.flow = _load_flow(header["flow"], config, arrays, path)
+    if arrays:
+        raise FormatError(f"{path}: checkpoint tensors {sorted(arrays)} are not "
+                          "part of its config's state")
     return state, header.get("experiment")

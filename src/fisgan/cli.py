@@ -23,7 +23,7 @@ import logging
 import os
 import sys
 
-from . import checkpoint, config as config_mod, data, flows, metrics, norms, plot, train
+from . import checkpoint, config as config_mod, data, flows, norms, plot, train
 from .errors import ConfigError, FisGanError, FormatError
 
 log = logging.getLogger(__name__)
@@ -188,6 +188,9 @@ def cmd_ablate(args):
 
 
 def cmd_eval(args):
+    n = args.samples
+    if n < 2:
+        raise ConfigError("need at least 2 samples to fit moments")
     with open(args.checkpoint, "rb") as fh:
         blob = fh.read()
     if args.config:
@@ -200,22 +203,13 @@ def cmd_eval(args):
         probe_cfg = config_mod.experiment_from_dict(header["experiment"])
     dataset = config_mod.build_dataset(probe_cfg)
     state, _ = checkpoint.load_checkpoint(args.checkpoint, dataset, blob=blob)
-    n = args.samples
-    if n < 2:
-        raise ConfigError("need at least 2 samples to fit moments")
     if n < 32:
         log.warning("proxy_fid over %d samples has high variance", n)
     options = probe_cfg.eval
     ctx = train.build_eval_context(state.config, dataset, options)
-    rng = train.eval_rng(state.config.seed, state.iteration)
-    if state.flow is not None:
-        z = flows.sample(state.flow, n, rng)
-    else:
-        z = rng.standard_normal((n, state.config.latent_dim))
-    samples = train.gen_predict(state, z)
-    real = ctx.real_subset[: max(2, min(n, ctx.real_subset.shape[0]))]
-    fid = metrics.proxy_fid(samples, real, ctx.extractor, ridge=options.ridge)
-    print(f"proxy_fid {fid:.12g} ({n} generated vs {real.shape[0]} real)")
+    fid, samples = train.evaluate(state, ctx, state.iteration, n)
+    real_rows = min(n, ctx.real_subset.shape[0])
+    print(f"proxy_fid {fid:.12g} ({n} generated vs {real_rows} real)")
     if ctx.grid_side is not None:
         grid_path = args.grid or (os.path.splitext(args.checkpoint)[0] + "_samples.pgm")
         count = min(options.grid_count, samples.shape[0])
@@ -322,11 +316,8 @@ def main(argv=None):
     except FormatError as err:
         # file-format problems count as config failures for plot inputs,
         # runtime failures for binary artifacts
-        if args.command == "plot":
-            print(f"format error: {err}", file=sys.stderr)
-            return 2
         print(f"format error: {err}", file=sys.stderr)
-        return 1
+        return 2 if args.command == "plot" else 1
     except FisGanError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -18,11 +18,7 @@ class NumericError(FisGanError):
 
 
 class ConvergenceError(FisGanError):
-    """An iterative solver hit its iteration cap before converging."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A LAPACK routine failed to converge."""
 
 
 class NotPsdError(FisGanError):

@@ -118,7 +118,12 @@ class PermutationLayer:
     """Fixed coordinate permutation; volume preserving."""
 
     def __init__(self, perm):
-        self.perm = np.asarray(perm, dtype=np.int64)
+        perm = np.asarray(perm)
+        if perm.ndim != 1 or perm.dtype.kind not in "iu" or not np.array_equal(
+            np.sort(perm), np.arange(perm.size)
+        ):
+            raise ShapeError("permutation layer needs a permutation of 0..dim-1")
+        self.perm = perm.astype(np.int64)
         self.inv_perm = np.argsort(self.perm)
 
     @property

@@ -225,14 +225,14 @@ def gen_predict(state: TrainState, z):
     return state.out_mid + state.out_half * nn.predict(state.gen, z)
 
 
-def sample_noise(state: TrainState, n):
-    """Latent noise under the current law: the fitted flow when present
-    (fis mode after a refresh), otherwise N(0, I)."""
+def sample_noise(state: TrainState, n, rng):
+    """n latent rows from rng under the current law: the fitted flow when
+    present (fis mode after a refresh), otherwise N(0, I)."""
     if n < 1:
         raise ValueError("need at least one noise row")
     if state.flow is not None:
-        return flows.sample(state.flow, n, state.model_rng)
-    return state.model_rng.standard_normal((n, state.config.latent_dim))
+        return flows.sample(state.flow, n, rng)
+    return rng.standard_normal((n, state.config.latent_dim))
 
 
 def draw_real_batch(state: TrainState, dataset: Dataset):
@@ -288,13 +288,12 @@ def _step(state: TrainState, real_batch, latents):
 
 
 def warm_start_step(state: TrainState, real_batch):
-    """Batch 0: one D and one G update with standard-normal noise."""
+    """Batch 0: one D and one G update; a fresh state has no flow, so its
+    noise is standard normal."""
     if state.iteration != 0:
         raise TrainError("warm start requires iteration == 0",
                          iteration=state.iteration)
-    z = state.model_rng.standard_normal(
-        (state.config.batch_size, state.config.latent_dim)
-    )
+    z = sample_noise(state, state.config.batch_size, state.model_rng)
     return _step(state, real_batch, z)
 
 
@@ -303,7 +302,7 @@ def adversarial_step(state: TrainState, real_batch):
     if state.iteration < 1:
         raise TrainError("adversarial steps require a completed warm start",
                          iteration=state.iteration)
-    z = sample_noise(state, state.config.batch_size)
+    z = sample_noise(state, state.config.batch_size, state.model_rng)
     return _step(state, real_batch, z)
 
 
@@ -391,16 +390,12 @@ def build_eval_context(config: TrainConfig, dataset: Dataset,
                         options=options, grid_side=grid_side)
 
 
-def evaluate(state: TrainState, ctx: EvalContext, iteration):
-    """Proxy Frechet distance at this iteration, on eval-only randomness."""
-    rng = eval_rng(state.config.seed, iteration)
-    n = ctx.real_subset.shape[0]
-    if state.flow is not None:
-        z = flows.sample(state.flow, n, rng)
-    else:
-        z = rng.standard_normal((n, state.config.latent_dim))
+def evaluate(state: TrainState, ctx: EvalContext, iteration, n):
+    """Proxy Frechet distance of n samples against the first n rows of the
+    real eval set, at this iteration, on eval-only randomness."""
+    z = sample_noise(state, n, eval_rng(state.config.seed, iteration))
     samples = gen_predict(state, z)
-    fid = metrics.proxy_fid(samples, ctx.real_subset, ctx.extractor,
+    fid = metrics.proxy_fid(samples, ctx.real_subset[:n], ctx.extractor,
                             ridge=ctx.options.ridge)
     return fid, samples
 
@@ -430,7 +425,7 @@ def train(config: TrainConfig, dataset: Dataset, metrics_sink=None,
     rows = []
 
     def emit(iteration, d_loss, g_loss):
-        fid, samples = evaluate(state, ctx, iteration)
+        fid, samples = evaluate(state, ctx, iteration, ctx.real_subset.shape[0])
         row = MetricRow(
             iteration=iteration,
             mode=config.mode,

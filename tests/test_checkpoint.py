@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fisgan import checkpoint, data, train
+from fisgan import checkpoint, data, flows, train
 from fisgan.errors import ConfigError, FormatError
 
 
@@ -63,9 +63,9 @@ def test_save_load_round_trip(tmp_path, flow_kind):
     if summary.state.flow is not None:
         for a, b in zip(loaded.flow.parameters(), summary.state.flow.parameters()):
             assert np.array_equal(a, b)
-        same = train.sample_noise(loaded, 32)
+        same = train.sample_noise(loaded, 32, loaded.model_rng)
         loaded.model_rng.bit_generator.state = summary.state.model_rng.bit_generator.state
-        other = train.sample_noise(summary.state, 32)
+        other = train.sample_noise(summary.state, 32, summary.state.model_rng)
         assert np.array_equal(same, other)
 
 
@@ -115,6 +115,48 @@ def test_resume_with_changed_config_writes_no_row(tmp_path):
     assert second.state.config == cfg(max_iters=12)
 
 
+def _assert_same(a, b):
+    if isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+def _flow_structure(flow):
+    """Every array and setting of the flow that is not a parameter."""
+    out = [flow.kind, flow.dim]
+    for layer in flow.layers:
+        if isinstance(layer, flows.PermutationLayer):
+            out.append(("perm", layer.perm, layer.inv_perm))
+        elif isinstance(layer, flows.CouplingLayer):
+            out.append(("coupling", layer.mask, layer.idx_in, layer.idx_out,
+                         layer.scale_clamp))
+        else:
+            out.append(("ar", layer.degrees, layer.direction, layer.scale_clamp,
+                        layer.degree_order, [dense.mask for dense in layer.net.layers],
+                        layer._finals))
+    return out
+
+
+@pytest.mark.parametrize("flow_kind", ("realnvp", "maf", "iaf"))
+def test_round_trip_keeps_flow_structure(tmp_path, flow_kind):
+    ds = ring_dataset()
+    config = cfg(flow_kind=flow_kind, flow_depth=6)
+    state = train.init_state(config, ds)
+    state.flow = flows.build_flow(flow_kind, config.latent_dim, np.random.default_rng(9),
+                                  depth=config.flow_depth, hidden=config.flow_hidden)
+    path = tmp_path / "state.ckpt"
+    checkpoint.save_checkpoint(path, state)
+    loaded, _ = checkpoint.load_checkpoint(path, ds)
+    _assert_same(_flow_structure(loaded.flow), _flow_structure(state.flow))
+    z = np.random.default_rng(3).standard_normal((16, config.latent_dim))
+    assert np.array_equal(flows.log_prob(loaded.flow, z), flows.log_prob(state.flow, z))
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -125,8 +167,9 @@ def test_bad_magic(tmp_path):
 
 def test_version_mismatch(tmp_path):
     path = tmp_path / "vx.ckpt"
-    # version 1 headers carry a config with three fields TrainConfig dropped
-    for version in (1, 99):
+    # version 1 headers carry a config with three fields TrainConfig dropped;
+    # version 2 headers describe every flow layer
+    for version in (1, 2, 99):
         path.write_bytes(checkpoint.MAGIC + struct.pack("<II", version, 0))
         with pytest.raises(FormatError) as err:
             checkpoint.load_checkpoint(path, ring_dataset())
@@ -141,7 +184,7 @@ def write_cli_checkpoint(root, flow_kind):
     doc = {
         "train": {"latent_dim": 4, "refresh_t": 2, "flow_epochs": 1,
                   "flow_batch": 32, "augment_N": 32, "batch_size": 16,
-                  "max_iters": 2, "seed": 1, "mode": "fis", "flow_depth": 2,
+                  "max_iters": 2, "seed": 1, "mode": "fis", "flow_depth": 3,
                   "flow_hidden": 6, "flow_kind": flow_kind},
         "dataset": {"kind": "synthetic",
                     "spec": {"kind": "ring", "count": 64, "sigma": 0.05}},
@@ -254,12 +297,8 @@ HEADER_EDITS = {
     "experiment_not_dict": _set("experiment", value=3),
     "experiment_spec_type": _set("experiment", "dataset", "spec", "count", value="x"),
     "flow_not_dict": _set("flow", value="x"),
-    "flow_layers_not_list": _set("flow", "layers", value="x"),
-    "flow_dim_mismatch": _set("flow", "dim", value=5),
-    "ar_direction": _set("flow", "layers", 0, "direction", value="zzz"),
-    "ar_clamp_type": _set("flow", "layers", 1, "clamp", value="x"),
-    "ar_degrees_not_permutation": _set("flow", "layers", 0, "degrees", value=[1, 1, 1, 1]),
-    "ar_degrees_short": _set("flow", "layers", 0, "degrees", value=[1, 2]),
+    "flow_perms_on_iaf": _set("flow", value=[[1, 0, 2, 3]]),
+    "config_flow_depth_lower": _set("config", "flow_depth", value=2),
     "experiment_run_name_int": _set("experiment", "run_name", value=5),
     "experiment_out_dir_list": _set("experiment", "out_dir", value=["a"]),
     "experiment_crop_border_str": _set("experiment", "dataset", value={
@@ -283,6 +322,34 @@ def test_wrong_typed_header_value_raises_format_error(cli_iaf_checkpoint, edit):
     root, blob, dataset = cli_iaf_checkpoint
     header, _ = checkpoint.read_header(blob, "final.ckpt")
     HEADER_EDITS[edit](header)
+    path = root / "edited.ckpt"
+    path.write_bytes(_with_header(blob, header))
+    _assert_rejected(path, dataset)
+
+
+def _baseline_mode(header):
+    header["config"]["mode"] = "baseline"
+    header["experiment"]["train"]["mode"] = "baseline"
+
+
+# edits of the realnvp fixture, whose flow has exactly one permutation
+FLOW_EDITS = {
+    "perm_not_permutation": _set("flow", 0, value=[0, 0, 0, 0]),
+    "perm_wrong_length": _set("flow", 0, value=[0, 1, 2]),
+    "perms_one_too_many": lambda header: header["flow"].append(header["flow"][0]),
+    "perms_one_too_few": lambda header: header["flow"].pop(),
+    "flow_v2_layout": _set("flow", value={"kind": "realnvp", "dim": 4, "layers": []}),
+    "flow_under_baseline": _baseline_mode,
+    "config_flow_kind_maf": _set("config", "flow_kind", value="maf"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(FLOW_EDITS))
+def test_bad_flow_permutations_raise_format_error(cli_checkpoint, edit):
+    root, blob, dataset = cli_checkpoint
+    header, _ = checkpoint.read_header(blob, "final.ckpt")
+    assert len(header["flow"]) == 1
+    FLOW_EDITS[edit](header)
     path = root / "edited.ckpt"
     path.write_bytes(_with_header(blob, header))
     _assert_rejected(path, dataset)

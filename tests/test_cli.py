@@ -276,6 +276,9 @@ def test_eval_minimum_samples(tmp_path, capsys, caplog):
     with caplog.at_level("WARNING"):
         assert cli.main(["eval", "--checkpoint", ckpt, "--samples", "2"]) == 0
     assert any("variance" in rec.message for rec in caplog.records)
+    # the sample count is checked before the checkpoint is opened
+    missing = str(tmp_path / "missing.ckpt")
+    assert cli.main(["eval", "--checkpoint", missing, "--samples", "1"]) == 2
 
 
 def test_plot_single_run(tmp_path):

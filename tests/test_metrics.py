@@ -151,7 +151,7 @@ def test_proxy_fid_ranks_trained_above_degraded():
         cfg = train.TrainConfig(mode="baseline", seed=seed, max_iters=500)
         fresh = train.init_state(cfg, ds)
         ctx = train.build_eval_context(cfg, ds, eval_options)
-        degraded_fid, _ = train.evaluate(fresh, ctx, 0)
+        degraded_fid, _ = train.evaluate(fresh, ctx, 0, ctx.real_subset.shape[0])
         summary = train.train(cfg, ds, eval_options=eval_options)
         trained_fid = summary.rows[-1].proxy_fid
         assert degraded_fid > trained_fid, f"seed {seed}"

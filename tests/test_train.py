@@ -80,7 +80,8 @@ def test_sample_noise_baseline_reproducible():
     ds = ring_dataset()
     a = train.init_state(small_config(mode="baseline"), ds)
     b = train.init_state(small_config(mode="baseline"), ds)
-    assert np.array_equal(train.sample_noise(a, 16), train.sample_noise(b, 16))
+    assert np.array_equal(train.sample_noise(a, 16, a.model_rng),
+                          train.sample_noise(b, 16, b.model_rng))
 
 
 def test_sample_noise_identity_flow_matches_baseline_law():
@@ -89,7 +90,7 @@ def test_sample_noise_identity_flow_matches_baseline_law():
     state = train.init_state(cfg, ds)
     state.flow = flows.build_flow("realnvp", 6, np.random.default_rng(5),
                                   depth=2, hidden=8)
-    draws = train.sample_noise(state, 10_000)
+    draws = train.sample_noise(state, 10_000, state.model_rng)
     assert np.linalg.norm(draws.mean(axis=0)) < 0.1
     assert np.max(np.abs(np.cov(draws, rowvar=False) - np.eye(6))) < 0.1
 
@@ -108,7 +109,7 @@ def test_sample_noise_tracks_fitted_shift():
         target = rng.standard_normal((1024, 4)) + shift
         flows.fit(flow, target, epochs=15, batch_size=128, adam=adam, rng=rng)
         state.flow = flow
-        draws = train.sample_noise(state, 2048)
+        draws = train.sample_noise(state, 2048, state.model_rng)
         if float(draws.mean(axis=0) @ shift) > 0:
             hits += 1
     assert hits == 5
@@ -231,7 +232,7 @@ def test_refresh_targets_heavy_norm_cluster():
     state.iteration = 11  # just completed batch 10
     train.flow_refresh(state)
     assert state.refresh_count == 1
-    draws = train.sample_noise(state, 10_000)
+    draws = train.sample_noise(state, 10_000, state.model_rng)
     d_heavy = np.linalg.norm(draws - np.array([5.0, 0.0]), axis=1)
     d_light = np.linalg.norm(draws - np.array([-5.0, 0.0]), axis=1)
     assert np.mean(d_heavy < d_light) >= 0.60
@@ -277,7 +278,7 @@ def test_mode_equivalence_identity_flow():
                           eval_options=train.EvalOptions(interval=6, samples=128))
     state = summary.state
     assert state.flow is not None
-    draws = train.sample_noise(state, 10_000)
+    draws = train.sample_noise(state, 10_000, state.model_rng)
     assert np.linalg.norm(draws.mean(axis=0)) < 0.1
     assert np.max(np.abs(np.cov(draws, rowvar=False) - np.eye(6))) < 0.1
 

@@ -117,6 +117,8 @@ def _run_ablation_variant(sub_cfg):
 
 
 def cmd_ablate(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, not {args.jobs}")
     cfg = _load_effective_config(args)
     axis_values = ABLATION_AXES[args.axis]
     values = [v.strip() for v in args.values.split(",") if v.strip()]

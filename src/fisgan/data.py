@@ -370,11 +370,17 @@ def write_metrics_csv(rows, path):
             sink.write(row)
 
 
+_CSV_NUMBERS = {"iteration": int, "seed": int, "proxy_fid": float, "d_loss": float,
+                "g_loss": float, "wall_ms": float}
+
+
 def read_metrics_csv(path, extra_columns=()):
     """Parse a metrics CSV back into MetricRow objects.
 
     extra_columns names leading columns (the ablation 'variant' column);
-    returns (extras, rows) where extras is a list of per-row dicts.
+    returns (extras, rows) where extras is a list of per-row dicts.  A
+    numeric cell that is not a finite number is a FormatError naming its
+    line and column.
     """
     expected = list(extra_columns) + CSV_HEADER
     with open(path, newline="") as fh:
@@ -393,21 +399,20 @@ def read_metrics_csv(path, extra_columns=()):
         rows = []
         for record in reader:
             if len(record) != len(expected):
-                raise FormatError(f"{path}: row has {len(record)} fields")
+                raise FormatError(
+                    f"{path}: line {reader.line_num}: row has {len(record)} fields")
             cut = len(extra_columns)
             extras.append(dict(zip(extra_columns, record[:cut])))
-            body = record[cut:]
-            rows.append(
-                MetricRow(
-                    iteration=int(body[0]),
-                    mode=body[1],
-                    flow_kind=body[2],
-                    norm_kind=body[3],
-                    seed=int(body[4]),
-                    proxy_fid=float(body[5]),
-                    d_loss=float(body[6]),
-                    g_loss=float(body[7]),
-                    wall_ms=float(body[8]),
-                )
-            )
+            cells = dict(zip(CSV_HEADER, record[cut:]))
+            for column, kind in _CSV_NUMBERS.items():
+                try:
+                    value = kind(cells[column])
+                    if not math.isfinite(value):  # an int past float range overflows
+                        raise ValueError
+                except (ValueError, OverflowError):
+                    raise FormatError(
+                        f"{path}: line {reader.line_num}, column {column!r}: "
+                        f"expected a finite number, found {cells[column]!r}") from None
+                cells[column] = value
+            rows.append(MetricRow(**cells))
     return extras, rows

@@ -348,7 +348,7 @@ class AutoregressiveLayer:
             upstream[:, d + i] = (g_z[:, i] * z[:, i] + g_log_det) * dth[:, i]
             cols = [i, d + i]
             g_pre[-1][:, cols] = upstream[:, cols] * act_grads[-1][:, cols]
-        grads, _ = nn.backward(self.net, net_cache, upstream)
+        grads, _ = nn.backward(self.net, net_cache, upstream, inputs=False)
         return g_z, grads
 
 

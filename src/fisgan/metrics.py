@@ -93,7 +93,8 @@ def _fit_probe(data, labels, rng, epochs, target_acc):
             shifted = logits - logits.max(axis=1, keepdims=True)
             soft = np.exp(shifted)
             soft /= soft.sum(axis=1, keepdims=True)
-            grads, _ = nn.backward(net, cache, (soft - one_hot[idx]) / len(idx))
+            grads, _ = nn.backward(net, cache, (soft - one_hot[idx]) / len(idx),
+                                   inputs=False)
             nn.adam_step(net.parameters(), grads, adam)
         logits, _ = nn.forward(net, data)
         acc = float(np.mean(logits.argmax(axis=1) == labels))

@@ -96,7 +96,9 @@ def act_forward(u, kind, alpha):
     if kind == "relu":
         return np.maximum(u, 0.0)
     if kind == "leaky_relu":
-        return np.where(u > 0.0, u, alpha * u)
+        # equals where(u > 0, u, alpha u) for alpha in (0, 1), without the
+        # per-element branch
+        return np.maximum(u, alpha * u)
     if kind == "tanh":
         return np.tanh(u)
     return stable_sigmoid(u)
@@ -110,7 +112,11 @@ def act_grad(u, y, kind, alpha):
     if kind == "relu":
         return (u > 0.0).astype(np.float64)
     if kind == "leaky_relu":
-        return np.where(u > 0.0, 1.0, alpha)
+        # alpha + (1 - alpha) rounds to exactly 1, so this is bitwise
+        # where(u > 0, 1, alpha) without the per-element branch
+        slope = (u > 0.0) * (1.0 - alpha)
+        slope += alpha
+        return slope
     if kind == "tanh":
         return 1.0 - y * y
     return y * (1.0 - y)
@@ -154,11 +160,13 @@ def predict(net: MlpNet, batch: np.ndarray):
     return x
 
 
-def backward(net: MlpNet, caches, upstream: np.ndarray):
+def backward(net: MlpNet, caches, upstream: np.ndarray, *, params=True, inputs=True):
     """Reverse pass. upstream is dL/d(output), shape (n, out_dim).
 
     Returns (param_grads, input_grads): param_grads aligns with
     net.parameters(); input_grads is dL/d(batch), shape (n, in_dim).
+    params=False skips the weight and bias gradients and inputs=False the
+    layer-0 input gradient; a skipped part comes back as None.
     """
     if caches is None or len(caches) != len(net.layers):
         raise StateError("forward cache is missing or stale for this net")
@@ -168,19 +176,21 @@ def backward(net: MlpNet, caches, upstream: np.ndarray):
         raise ShapeError(
             f"upstream shape {upstream.shape} does not match output ({n}, {net.out_dim})"
         )
-    grads = [None] * (2 * len(net.layers))
+    grads = [None] * (2 * len(net.layers)) if params else None
     g = upstream
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         x, u, y = caches[k]
         du = g * act_grad(u, y, layer.activation, layer.alpha)
-        dw = du.T @ x
-        if layer.mask is not None:
-            dw *= layer.mask
-        grads[2 * k] = dw
-        grads[2 * k + 1] = du.sum(axis=0)
-        g = du @ layer.weights
-    return grads, g
+        if params:
+            dw = du.T @ x
+            if layer.mask is not None:
+                dw *= layer.mask
+            grads[2 * k] = dw
+            grads[2 * k + 1] = du.sum(axis=0)
+        if k > 0 or inputs:
+            g = du @ layer.weights
+    return grads, g if inputs else None
 
 
 def jacobian_wrt_input(net: MlpNet, z: np.ndarray):
@@ -197,7 +207,7 @@ def jacobian_wrt_input(net: MlpNet, z: np.ndarray):
     for m in range(net.out_dim):
         one_hot = np.zeros((1, net.out_dim))
         one_hot[0, m] = 1.0
-        _, g_in = backward(net, caches, one_hot)
+        _, g_in = backward(net, caches, one_hot, params=False)
         rows.append(g_in[0])
     return np.vstack(rows)
 

@@ -252,7 +252,7 @@ def _update_discriminator(state: TrainState, x_real, x_fake):
     upstream = np.empty((2 * n, 1))
     upstream[:n, 0] = (_sigmoid(u_real) - 1.0) / n
     upstream[n:, 0] = _sigmoid(u_fake) / n
-    grads, _ = nn.backward(state.disc, cache, upstream)
+    grads, _ = nn.backward(state.disc, cache, upstream, inputs=False)
     nn.adam_step(state.disc.parameters(), grads, state.adam_d)
     return d_loss
 
@@ -266,8 +266,8 @@ def _update_generator(state: TrainState, x_fake, g_cache):
     # non-saturating loss: minimize mean -log D = softplus(-u)
     g_loss = float(np.logaddexp(0.0, -u).mean())
     d_up = (_sigmoid(u) - 1.0)[:, None] / n
-    _, g_x = nn.backward(state.disc, d_cache, d_up)
-    grads, _ = nn.backward(state.gen, g_cache, g_x * state.out_half)
+    _, g_x = nn.backward(state.disc, d_cache, d_up, params=False)
+    grads, _ = nn.backward(state.gen, g_cache, g_x * state.out_half, inputs=False)
     nn.adam_step(state.gen.parameters(), grads, state.adam_g)
     return g_loss
 

@@ -244,6 +244,15 @@ def test_ablate_empty_values(tmp_path, capsys):
                      "--values", " , "]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_ablate_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path)
+    assert cli.main(["ablate", "--config", str(cfg), "--axis", "norm",
+                     "--values", "frobenius,nuclear", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_ablate_bad_value(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["ablate", "--config", str(cfg), "--axis", "flow",
@@ -318,6 +327,29 @@ def test_plot_schema_mismatch(tmp_path, capsys):
     path.write_text("iteration,mode,oops\n")
     assert cli.main(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == 2
     assert "flow_kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "1" * 400])
+@pytest.mark.parametrize("column", ["iteration", "seed", "proxy_fid", "d_loss",
+                                    "g_loss", "wall_ms"])
+def test_plot_rejects_non_numeric_cell(tmp_path, capsys, column, bad):
+    rows = [
+        data.MetricRow(0, "fis", "realnvp", "frobenius", 1, 5.0, 1.0, 1.0, 1.0),
+        data.MetricRow(100, "fis", "realnvp", "frobenius", 1, 3.0, 0.9, 1.1, 2.0),
+    ]
+    path = tmp_path / "m.csv"
+    data.write_metrics_csv(rows, path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[data.CSV_HEADER.index(column)] = bad
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.svg"
+    assert cli.main(["plot", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("format error:")
+    assert str(path) in err[0] and "line 3" in err[0] and repr(column) in err[0]
+    assert not out.exists()
 
 
 def test_plot_deterministic(tmp_path):

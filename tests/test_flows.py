@@ -449,9 +449,9 @@ def test_sweep_makes_no_full_net_passes(monkeypatch):
     for name in calls:
         original = getattr(nn, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(nn, name, counted)
     layer._generate(z)

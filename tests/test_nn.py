@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fisgan import nn
 from fisgan.errors import NumericError, ShapeError, StateError
@@ -20,6 +21,16 @@ def reference_jacobian_batch(net, latents):
         _, g_in = nn.backward(net, caches, upstream)
         jac[:, m, :] = g_in
     return jac
+
+
+def reference_leaky_forward(u, alpha):
+    """Test oracle: leaky ReLU with a per-element branch."""
+    return np.where(u > 0.0, u, alpha * u)
+
+
+def reference_leaky_grad(u, alpha):
+    """Test oracle: leaky ReLU slope with a per-element branch."""
+    return np.where(u > 0.0, 1.0, alpha)
 
 
 def reference_adam_step(params, grads, m_list, v_list, step, lr,
@@ -124,6 +135,31 @@ def test_predict_matches_forward_bitwise(activation):
         assert nn.predict(net, batch).tobytes() == expected.tobytes()
     with pytest.raises(ShapeError):
         nn.predict(net, np.zeros((2, 4)))
+
+
+# Pre-activations come out of a matmul, so a NaN among them is always a
+# quiet one; the special values are drawn next to ordinary floats.
+_PRE_ACTIVATIONS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                         5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=_PRE_ACTIVATIONS,
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_leaky_relu_matches_branchy_oracle_bitwise(u, alpha):
+    with np.errstate(all="ignore"):
+        got = nn.act_forward(u, "leaky_relu", alpha)
+        want = reference_leaky_forward(u, alpha)
+    assert got.tobytes() == want.tobytes()
+    slope = nn.act_grad(u, got, "leaky_relu", alpha)
+    assert slope.tobytes() == reference_leaky_grad(u, alpha).tobytes()
 
 
 def test_linear_input_grads_recover_weight_rows():
@@ -299,6 +335,32 @@ def test_jacobian_batch_is_one_forward_and_no_backward(monkeypatch):
     rng = np.random.default_rng(25)
     nn.jacobian_batch(nn.build_mlp(rng, *GLYPH_G), rng.standard_normal((64, 64)))
     assert calls == {"forward": 1, "backward": 0}
+
+
+def _selection_nets(rng):
+    sizes = [6, 9, 7, 5]
+    masks = [(rng.random((o, i)) < 0.6).astype(np.float64)
+             for i, o in zip(sizes, sizes[1:])]
+    yield nn.build_mlp(rng, sizes, ["leaky_relu", "tanh", "identity"])
+    yield nn.build_mlp(rng, sizes, ["leaky_relu", "leaky_relu", "sigmoid"], masks=masks)
+    yield nn.build_mlp(rng, *GLYPH_G)
+
+
+def test_backward_selection_matches_full_pass_bitwise():
+    rng = np.random.default_rng(31)
+    for net in _selection_nets(rng):
+        batch = 2.0 * rng.standard_normal((17, net.in_dim))
+        _, cache = nn.forward(net, batch)
+        upstream = rng.standard_normal((17, net.out_dim))
+        full_grads, full_in = nn.backward(net, cache, upstream)
+        grads, g_in = nn.backward(net, cache, upstream, inputs=False)
+        assert g_in is None
+        assert len(grads) == len(full_grads)
+        for got, want in zip(grads, full_grads):
+            assert got.tobytes() == want.tobytes()
+        grads, g_in = nn.backward(net, cache, upstream, params=False)
+        assert grads is None
+        assert g_in.tobytes() == full_in.tobytes()
 
 
 _SHAPES = st.lists(st.lists(st.integers(1, 5), min_size=0, max_size=3).map(tuple),

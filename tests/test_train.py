@@ -160,6 +160,25 @@ def test_steps_deterministic():
     assert run() == run()
 
 
+def test_step_asks_only_for_gradients_it_uses(monkeypatch):
+    ds = ring_dataset()
+    state = train.init_state(small_config(mode="baseline"), ds)
+    train.warm_start_step(state, train.draw_real_batch(state, ds))
+    calls = []
+    original = nn.backward
+
+    def spy(net, *args, **kwargs):
+        calls.append((net, kwargs.get("params", True), kwargs.get("inputs", True)))
+        return original(net, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "backward", spy)
+    train.adversarial_step(state, train.draw_real_batch(state, ds))
+    # (net, params, inputs): the D update needs D's parameter gradients;
+    # the G update needs D's input gradient, then G's parameter gradients
+    assert calls == [(state.disc, True, False), (state.disc, False, True),
+                     (state.gen, True, False)]
+
+
 def test_adversarial_step_requires_warm_start():
     ds = ring_dataset()
     state = train.init_state(small_config(), ds)

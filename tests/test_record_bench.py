@@ -12,7 +12,7 @@ _spec = importlib.util.spec_from_file_location("record_bench",
 record_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_bench)
 
-# ten parent runs around 10 with quartiles 9.75 and 10.25 (spread 0.05)
+# ten parent runs with median 10 and quartiles 9.7625 and 10.2375 (spread 0.475)
 PARENT = [9.0, 9.5, 9.75, 9.8, 10.0, 10.0, 10.2, 10.25, 10.5, 11.0]
 
 
@@ -30,7 +30,7 @@ def test_nine_wins_of_ten_is_enough_ten_losses_of_ten_are_not():
 
 
 def test_win_inside_parent_spread_is_flat():
-    # wins every pair, but the median gap (0.1) is below q3 - q1 (0.5)
+    # wins every pair, but the median gap (0.1) is below q3 - q1 (0.475)
     change = [x - 0.1 for x in PARENT]
     assert record_bench.verdict(change, PARENT, "lower", 0.25) == "flat"
 
@@ -51,7 +51,8 @@ def test_higher_is_better_flips_the_direction():
 
 
 def test_wide_parent_spread_is_unresolved_unless_change_beats_every_run():
-    # quartiles 4.75 and 15.25 around a median of 10: spread 1.05 > 0.25
+    # quartiles 4.75 and 15.25 around a median of 10: a spread of 1.05
+    # medians, over the 0.25 bound
     wide = [1.0, 2.0, 3.0, 10.0, 10.0, 10.0, 10.0, 17.0, 18.0, 19.0]
     assert record_bench.verdict(list(wide), wide, "lower", 0.25) == "unresolved"
     # below every parent run, yet the median gap (9.5) is inside the spread

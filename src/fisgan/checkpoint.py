@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -35,48 +35,28 @@ _COUNTER_KEYS = ("iteration", "refresh_count", "adam_g_step", "adam_d_step")
 _NUMBER_KEYS = ("refresh_ms_total", "out_mid", "out_half")
 
 
-def _net_arrays(prefix, net):
+def _tensors(state: TrainState):
+    """Checkpoint tensor name -> the live array of state it holds; save
+    writes these arrays and load restores into them."""
     out = {}
-    for k, layer in enumerate(net.layers):
-        out[f"{prefix}.l{k}.w"] = layer.weights
-        out[f"{prefix}.l{k}.b"] = layer.bias
+    for prefix, net in (("g", state.gen), ("d", state.disc)):
+        for k, layer in enumerate(net.layers):
+            out[f"{prefix}.l{k}.w"] = layer.weights
+            out[f"{prefix}.l{k}.b"] = layer.bias
+    for prefix, adam in (("adam_g", state.adam_g), ("adam_d", state.adam_d)):
+        for k, (m, v) in enumerate(zip(adam.m, adam.v)):
+            out[f"{prefix}.m{k}"] = m
+            out[f"{prefix}.v{k}"] = v
+    if state.flow is not None:
+        for k, p in enumerate(state.flow.parameters()):
+            out[f"flow.p{k}"] = p
     return out
-
-
-def _adam_arrays(prefix, state):
-    out = {}
-    for k, (m, v) in enumerate(zip(state.m, state.v)):
-        out[f"{prefix}.m{k}"] = m
-        out[f"{prefix}.v{k}"] = v
-    return out
-
-
-def _restore(target, arrays, name, path):
-    stored = arrays.pop(name, None)
-    if stored is None or stored.shape != target.shape:
-        raise FormatError(f"{path}: tensor {name!r} is missing or has the wrong shape")
-    target[...] = stored
-
-
-def _adam_from(arrays, prefix, adam, path):
-    for k, (m, v) in enumerate(zip(adam.m, adam.v)):
-        _restore(m, arrays, f"{prefix}.m{k}", path)
-        _restore(v, arrays, f"{prefix}.v{k}", path)
-
-
-def _dense_from(arrays, prefix, template_layer, path):
-    _restore(template_layer.weights, arrays, f"{prefix}.w", path)
-    _restore(template_layer.bias, arrays, f"{prefix}.b", path)
 
 
 def save_checkpoint(path, state: TrainState, experiment=None):
     """Write the full training state; experiment is the effective
     experiment dict echoed for resume/eval; path is replaced atomically."""
-    arrays = {}
-    arrays.update(_net_arrays("g", state.gen))
-    arrays.update(_net_arrays("d", state.disc))
-    arrays.update(_adam_arrays("adam_g", state.adam_g))
-    arrays.update(_adam_arrays("adam_d", state.adam_d))
+    arrays = _tensors(state)
     header = {
         "config": asdict(state.config),
         "experiment": experiment,
@@ -94,8 +74,6 @@ def save_checkpoint(path, state: TrainState, experiment=None):
     if state.flow is not None:
         header["flow"] = [layer.perm.tolist() for layer in state.flow.layers
                           if isinstance(layer, flows.PermutationLayer)]
-        for k, p in enumerate(state.flow.parameters()):
-            arrays[f"flow.p{k}"] = p
     blob = json.dumps(header).encode("utf-8")
     with data.replaced_atomically(path, "wb") as fh:
         fh.write(MAGIC)
@@ -112,10 +90,11 @@ def save_checkpoint(path, state: TrainState, experiment=None):
             fh.write(arr.tobytes())
 
 
-def _load_flow(perms, config, arrays, path):
-    """The config's flow with the stored permutations and parameters."""
+def _flow_layout(perms, config, path):
+    """The config's flow with the stored permutations; its parameters are
+    placeholders for load_checkpoint to overwrite."""
     # every draw from the scratch stream is overwritten: permutations here,
-    # weights below
+    # weights by the restore
     built = flows.build_flow(config.flow_kind, config.latent_dim, np.random.default_rng(0),
                              depth=config.flow_depth, hidden=config.flow_hidden)
     layers = built.layers
@@ -126,19 +105,10 @@ def _load_flow(perms, config, arrays, path):
     try:
         for k, perm in zip(slots, perms):
             layers[k] = flows.PermutationLayer(perm)
-        model = flows.FlowModel(layers, built.dim, built.kind)
+        return flows.FlowModel(layers, built.dim, built.kind)
     except (ShapeError, ValueError) as err:
         raise FormatError(f"{path}: bad flow permutation in checkpoint header: "
                           f"{err}") from err
-    for k, p in enumerate(model.parameters()):
-        _restore(p, arrays, f"flow.p{k}", path)
-    # the passes read masked weights as they are, so masked entries must be zero
-    for layer in model.layers:
-        if isinstance(layer, flows.AutoregressiveLayer) and any(
-                np.any(dense.weights[dense.mask == 0]) for dense in layer.net.layers):
-            raise FormatError(f"{path}: autoregressive flow weights are non-zero "
-                              "outside their masks")
-    return model
 
 
 def _span(blob, offset, size, path, what):
@@ -159,10 +129,16 @@ def _check_header_values(header, path):
     the flow's permutations themselves are checked when it is rebuilt."""
     try:
         config = parse_fields(TrainConfig, header["config"], "config").validate()
+        experiment = None
         if header["experiment"] is not None:
-            experiment_from_dict(header["experiment"])
+            experiment = experiment_from_dict(header["experiment"])
     except ConfigError as err:
         raise FormatError(f"{path}: bad checkpoint header: {err}") from err
+    if experiment is not None and experiment.train != config:
+        changed = [f.name for f in fields(TrainConfig)
+                   if getattr(experiment.train, f.name) != getattr(config, f.name)]
+        raise FormatError(f"{path}: checkpoint experiment.train differs from its "
+                          f"config in {', '.join(changed)}")
     for key in _COUNTER_KEYS:
         value = header[key]
         if not (is_json_type(value, "int") and value >= 0):
@@ -251,12 +227,23 @@ def load_checkpoint(path, dataset, blob=None):
 
     config = TrainConfig(**header["config"])
     state = init_state(config, dataset)
-    for k, layer in enumerate(state.gen.layers):
-        _dense_from(arrays, f"g.l{k}", layer, path)
-    for k, layer in enumerate(state.disc.layers):
-        _dense_from(arrays, f"d.l{k}", layer, path)
-    _adam_from(arrays, "adam_g", state.adam_g, path)
-    _adam_from(arrays, "adam_d", state.adam_d, path)
+    if header["flow"] is not None:
+        state.flow = _flow_layout(header["flow"], config, path)
+    for name, target in _tensors(state).items():
+        stored = arrays.pop(name, None)
+        if stored is None or stored.shape != target.shape:
+            raise FormatError(f"{path}: tensor {name!r} is missing or has the wrong shape")
+        target[...] = stored
+    if arrays:
+        raise FormatError(f"{path}: checkpoint tensors {sorted(arrays)} are not "
+                          "part of its config's state")
+    # the passes read masked weights as they are, so masked entries must be
+    # zero; checked after the restore, since the placeholders pass trivially
+    if state.flow is not None and any(
+            np.any(dense.weights[dense.mask == 0]) for layer in state.flow.layers
+            if isinstance(layer, flows.AutoregressiveLayer) for dense in layer.net.layers):
+        raise FormatError(f"{path}: autoregressive flow weights are non-zero "
+                          "outside their masks")
     state.adam_g.step = header["adam_g_step"]
     state.adam_d.step = header["adam_d_step"]
     state.model_rng.bit_generator.state = header["model_rng"]
@@ -266,9 +253,4 @@ def load_checkpoint(path, dataset, blob=None):
     state.refresh_ms_total = header["refresh_ms_total"]
     state.out_mid = header["out_mid"]
     state.out_half = header["out_half"]
-    if header["flow"] is not None:
-        state.flow = _load_flow(header["flow"], config, arrays, path)
-    if arrays:
-        raise FormatError(f"{path}: checkpoint tensors {sorted(arrays)} are not "
-                          "part of its config's state")
     return state, header.get("experiment")

@@ -54,7 +54,7 @@ def run_experiment(cfg: config_mod.ExperimentConfig, resume_path=None):
     if resume_path is not None:
         state, _ = checkpoint.load_checkpoint(resume_path, dataset)
         # fail before any file of the run directory changes
-        state.config = train.resumed_config(cfg.train, state.config)
+        state.config = train.resumed_config(cfg.train, state)
     run_name = cfg.resolved_run_name()
     run_dir = os.path.join(cfg.out_dir, run_name)
     grids_dir = os.path.join(run_dir, "grids")
@@ -85,14 +85,16 @@ def run_experiment(cfg: config_mod.ExperimentConfig, resume_path=None):
         os.path.join(run_dir, "final.ckpt"), summary.state,
         experiment=cfg.effective_dict(),
     )
+    # the CSV holds the whole run's rows, a resumed run's earlier ones too
+    _, csv_rows = data.read_metrics_csv(csv_path)
     summary_doc = {
         "run_name": run_name,
         "config_hash": cfg.config_hash(),
         "iterations": summary.iterations,
         "refresh_count": summary.refresh_count,
         "refresh_ms_total": summary.refresh_ms_total,
-        "final_proxy_fid": summary.rows[-1].proxy_fid if summary.rows else None,
-        "rows": len(summary.rows),
+        "final_proxy_fid": csv_rows[-1].proxy_fid if csv_rows else None,
+        "rows": len(csv_rows),
     }
     with data.replaced_atomically(os.path.join(run_dir, "summary.json")) as fh:
         json.dump(summary_doc, fh, indent=2, sort_keys=True)

@@ -101,6 +101,9 @@ def load_idx(images_path, labels_path=None):
     count = _read_be32(blob, 4, images_path)
     rows = _read_be32(blob, 8, images_path)
     cols = _read_be32(blob, 12, images_path)
+    if rows == 0 or cols == 0:
+        raise FormatError(f"{images_path}: images of {rows} x {cols} pixels; "
+                          "rows and columns must be at least 1")
     payload = blob[16:]
     expected = count * rows * cols
     if len(payload) != expected:

@@ -15,7 +15,7 @@ Three layer families:
   pass gets all parameter gradients from a single net backward.
 * ``PermutationLayer``: fixed coordinate shuffle, zero log-det.
 
-Log-scales are passed through tanh and multiplied by ``scale_clamp``, which
+Log-scales are passed through tanh and multiplied by ``SCALE_CLAMP``, which
 keeps every per-layer determinant inside [exp(-clamp*d), exp(clamp*d)] and
 makes the log-det arithmetic exact; any determinant that is ever formed as
 a raw number is floored before taking its log (see ``safe_log_abs``).
@@ -44,6 +44,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 FLOW_KINDS = ("realnvp", "maf", "iaf")
 
+# bound on every per-dimension log-scale: clamp * tanh(raw)
+SCALE_CLAMP = 3.0
+
 
 def safe_log_abs(x):
     """log|x| with |x| floored at 1e-9, for det-to-log conversions."""
@@ -53,7 +56,7 @@ def safe_log_abs(x):
 class CouplingLayer:
     """Affine coupling: pass-through coordinates condition the rest."""
 
-    def __init__(self, mask, scale_net, shift_net, scale_clamp=3.0):
+    def __init__(self, mask, scale_net, shift_net):
         mask = np.asarray(mask, dtype=bool)
         if mask.sum() == 0 or (~mask).sum() == 0:
             raise ShapeError("coupling mask needs at least one bit of each kind")
@@ -66,7 +69,6 @@ class CouplingLayer:
             raise ShapeError("shift net shape does not match the mask partition")
         self.scale_net = scale_net
         self.shift_net = shift_net
-        self.scale_clamp = float(scale_clamp)
 
     @property
     def dim(self):
@@ -78,7 +80,7 @@ class CouplingLayer:
     def _affine_params(self, x_in):
         s_raw, s_cache = nn.forward(self.scale_net, x_in)
         th = np.tanh(s_raw)
-        s = self.scale_clamp * th
+        s = SCALE_CLAMP * th
         t, t_cache = nn.forward(self.shift_net, x_in)
         return s, th, t, s_cache, t_cache
 
@@ -105,7 +107,7 @@ class CouplingLayer:
         g_out = g_y[:, self.idx_out]
         g_s = g_out * x_out * es + g_log_det[:, None]
         g_t = g_out
-        g_s_raw = g_s * self.scale_clamp * (1.0 - th * th)
+        g_s_raw = g_s * SCALE_CLAMP * (1.0 - th * th)
         s_grads, g_in_s = nn.backward(self.scale_net, s_cache, g_s_raw)
         t_grads, g_in_t = nn.backward(self.shift_net, t_cache, g_t)
         g_x = np.zeros_like(g_y)
@@ -200,7 +202,7 @@ class AutoregressiveLayer:
     sampling-direction map (identical code, opposite orientation).
     """
 
-    def __init__(self, masked_net, degrees, direction="maf", scale_clamp=3.0):
+    def __init__(self, masked_net, degrees, direction="maf"):
         if direction not in ("maf", "iaf"):
             raise ValueError(f"unknown autoregressive direction {direction!r}")
         self.net = masked_net
@@ -213,7 +215,6 @@ class AutoregressiveLayer:
         if masked_net.in_dim != d or masked_net.out_dim != 2 * d:
             raise ShapeError("masked net must map dim -> 2*dim")
         self.direction = direction
-        self.scale_clamp = float(scale_clamp)
         # dimension index processed at each degree step, ascending degree
         self.degree_order = np.argsort(self.degrees, kind="stable")
         self._finals = _sweep_schedule(masked_net, self.degree_order)
@@ -230,7 +231,7 @@ class AutoregressiveLayer:
         d = self.dim
         mu = out[:, :d]
         th = np.tanh(out[:, d:])
-        s = self.scale_clamp * th
+        s = SCALE_CLAMP * th
         return mu, s, th, cache
 
     def _normalize(self, w):
@@ -257,17 +258,15 @@ class AutoregressiveLayer:
             for k, (layer, units) in enumerate(zip(hidden_layers, units_per_layer)):
                 if units.size:
                     pre = acts[k] @ weights[k][units].T + layer.bias[units]
-                    acts[k + 1][:, units] = nn.act_forward(pre, layer.activation,
-                                                           layer.alpha)
+                    acts[k + 1][:, units] = nn.act_forward(pre, layer.activation)
 
         finalize(self._finals[0])
         out_w = weights[-1].reshape(2, d, -1)
         out_b = out_layer.bias.reshape(2, d)
         for t, i in enumerate(self.degree_order):
             pre = acts[-1] @ out_w[:, i].T + out_b[:, i]
-            shift, raw_scale = nn.act_forward(pre, out_layer.activation,
-                                              out_layer.alpha).T
-            w[:, i] = u[:, i] * np.exp(self.scale_clamp * np.tanh(raw_scale)) + shift
+            shift, raw_scale = nn.act_forward(pre, out_layer.activation).T
+            w[:, i] = u[:, i] * np.exp(SCALE_CLAMP * np.tanh(raw_scale)) + shift
             finalize(self._finals[t + 1])
         return w
 
@@ -304,7 +303,7 @@ class AutoregressiveLayer:
         g_mu = -g_u * e_neg
         # u depends on s directly (du/ds = -u) and the log-det is -sum s.
         g_s = -g_u * u - g_log_det[:, None]
-        g_s_raw = g_s * self.scale_clamp * (1.0 - th * th)
+        g_s_raw = g_s * SCALE_CLAMP * (1.0 - th * th)
         upstream = np.concatenate([g_mu, g_s_raw], axis=1)
         grads, g_w_net = nn.backward(self.net, net_cache, upstream)
         return g_u * e_neg + g_w_net, grads
@@ -326,14 +325,14 @@ class AutoregressiveLayer:
         layers = self.net.layers
         weights = [layer.weights for layer in layers]
         act_grads = [
-            np.broadcast_to(nn.act_grad(u, y, layer.activation, layer.alpha), u.shape)
+            np.broadcast_to(nn.act_grad(u, y, layer.activation), u.shape)
             for layer, (_, u, y) in zip(layers, net_cache)
         ]
         # adjoints of each layer's pre-activations, filled in as they complete
         g_pre = [np.zeros_like(u) for _, u, _ in net_cache]
         upstream = np.zeros_like(g_pre[-1])
         es = np.exp(s)
-        dth = self.scale_clamp * (1.0 - th * th)
+        dth = SCALE_CLAMP * (1.0 - th * th)
         g_z = np.empty_like(g_h)
         for t in range(d - 1, -1, -1):
             for k in range(len(layers) - 2, -1, -1):
@@ -467,21 +466,21 @@ def fit(flow: FlowModel, data, epochs, batch_size, adam: nn.AdamState, rng):
 # --- construction -----------------------------------------------------------
 
 
-def _coupling_subnet(rng, in_dim, out_dim, hidden, zero_last=True):
+def _coupling_subnet(rng, in_dim, out_dim, hidden):
     sizes = [in_dim, hidden, hidden, out_dim]
     acts = ["tanh", "tanh", "identity"]
-    return nn.build_mlp(rng, sizes, acts, zero_last=zero_last)
+    return nn.build_mlp(rng, sizes, acts, zero_last=True)
 
 
-def _masked_subnet(rng, degrees, hidden, zero_last=True):
+def _masked_subnet(rng, degrees, hidden):
     d = len(degrees)
     sizes = [d, hidden, hidden, 2 * d]
     masks = made_masks(degrees, [hidden, hidden])
     acts = ["tanh", "tanh", "identity"]
-    return nn.build_mlp(rng, sizes, acts, masks=masks, zero_last=zero_last)
+    return nn.build_mlp(rng, sizes, acts, masks=masks, zero_last=True)
 
 
-def build_flow(kind, dim, rng, depth=6, hidden=64, scale_clamp=3.0):
+def build_flow(kind, dim, rng, depth=6, hidden=64):
     """Identity-initialized flow of the requested kind.
 
     realnvp alternates even/odd coupling masks with a fixed random
@@ -501,7 +500,7 @@ def build_flow(kind, dim, rng, depth=6, hidden=64, scale_clamp=3.0):
             n_out = dim - n_in
             scale_net = _coupling_subnet(rng, n_in, n_out, hidden)
             shift_net = _coupling_subnet(rng, n_in, n_out, hidden)
-            layers.append(CouplingLayer(mask, scale_net, shift_net, scale_clamp))
+            layers.append(CouplingLayer(mask, scale_net, shift_net))
             if k % 2 == 1 and k != depth - 1:
                 layers.append(PermutationLayer(rng.permutation(dim)))
     else:
@@ -509,8 +508,7 @@ def build_flow(kind, dim, rng, depth=6, hidden=64, scale_clamp=3.0):
         for k in range(depth):
             degrees = natural if k % 2 == 0 else natural[::-1].copy()
             net = _masked_subnet(rng, degrees, hidden)
-            layers.append(AutoregressiveLayer(net, degrees, direction=kind,
-                                              scale_clamp=scale_clamp))
+            layers.append(AutoregressiveLayer(net, degrees, direction=kind))
     return FlowModel(layers, dim, kind)
 
 

@@ -18,6 +18,14 @@ from .errors import NumericError, ShapeError, StateError
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu", "tanh", "sigmoid")
 
+# negative slope of leaky_relu, in (0, 1)
+LEAKY_SLOPE = 0.2
+
+# Adam's moment decays and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def stable_sigmoid(u):
     """Numerically stable logistic function."""
@@ -36,14 +44,11 @@ class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: str = "identity"
-    alpha: float = 0.2  # leaky_relu negative slope, in (0, 1)
     mask: np.ndarray | None = None  # optional binary (out, in) connectivity
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
         if self.weights.shape[0] != self.bias.shape[0]:
             raise ShapeError("bias length must match weight rows")
         if self.mask is not None:
@@ -90,21 +95,21 @@ class MlpNet:
         return out
 
 
-def act_forward(u, kind, alpha):
+def act_forward(u, kind):
     if kind == "identity":
         return u
     if kind == "relu":
         return np.maximum(u, 0.0)
     if kind == "leaky_relu":
-        # equals where(u > 0, u, alpha u) for alpha in (0, 1), without the
+        # equals where(u > 0, u, slope u) for a slope in (0, 1), without the
         # per-element branch
-        return np.maximum(u, alpha * u)
+        return np.maximum(u, LEAKY_SLOPE * u)
     if kind == "tanh":
         return np.tanh(u)
     return stable_sigmoid(u)
 
 
-def act_grad(u, y, kind, alpha):
+def act_grad(u, y, kind):
     # Derivative evaluated from the pre-activation u (and post-activation y
     # where that is cheaper).  relu/leaky kinks take the zero-side value.
     if kind == "identity":
@@ -112,10 +117,10 @@ def act_grad(u, y, kind, alpha):
     if kind == "relu":
         return (u > 0.0).astype(np.float64)
     if kind == "leaky_relu":
-        # alpha + (1 - alpha) rounds to exactly 1, so this is bitwise
-        # where(u > 0, 1, alpha) without the per-element branch
-        slope = (u > 0.0) * (1.0 - alpha)
-        slope += alpha
+        # slope + (1 - slope) rounds to exactly 1, so this is bitwise
+        # where(u > 0, 1, slope) without the per-element branch
+        slope = (u > 0.0) * (1.0 - LEAKY_SLOPE)
+        slope += LEAKY_SLOPE
         return slope
     if kind == "tanh":
         return 1.0 - y * y
@@ -134,7 +139,7 @@ def _check_batch(net: MlpNet, batch):
 def _layer_forward(layer: DenseLayer, x):
     """One layer: (pre-activation, post-activation)."""
     u = x @ layer.weights.T + layer.bias
-    return u, act_forward(u, layer.activation, layer.alpha)
+    return u, act_forward(u, layer.activation)
 
 
 def forward(net: MlpNet, batch: np.ndarray):
@@ -181,7 +186,7 @@ def backward(net: MlpNet, caches, upstream: np.ndarray, *, params=True, inputs=T
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         x, u, y = caches[k]
-        du = g * act_grad(u, y, layer.activation, layer.alpha)
+        du = g * act_grad(u, y, layer.activation)
         if params:
             dw = du.T @ x
             if layer.mask is not None:
@@ -230,7 +235,7 @@ def jacobian_batch(net: MlpNet, latents: np.ndarray):
     latents = np.asarray(latents, dtype=np.float64)
     _, caches = forward(net, latents)
     n, out = latents.shape[0], net.out_dim
-    act_grads = [np.broadcast_to(act_grad(u, y, layer.activation, layer.alpha), u.shape)
+    act_grads = [np.broadcast_to(act_grad(u, y, layer.activation), u.shape)
                  for layer, (_, u, y) in zip(net.layers, caches)]
     *lower, top = net.layers
     widest = max(layer.in_dim for layer in net.layers)
@@ -252,7 +257,7 @@ def glorot_uniform(rng, out_dim, in_dim):
     return rng.uniform(-lim, lim, size=(out_dim, in_dim))
 
 
-def build_mlp(rng, sizes, activations, alpha=0.2, masks=None, zero_last=False):
+def build_mlp(rng, sizes, activations, masks=None, zero_last=False):
     """Construct an MlpNet with Glorot-uniform weights and zero biases.
 
     sizes: [in, h1, ..., out]; activations: one per layer.  zero_last
@@ -271,7 +276,6 @@ def build_mlp(rng, sizes, activations, alpha=0.2, masks=None, zero_last=False):
                 weights=w,
                 bias=np.zeros(sizes[k + 1]),
                 activation=activations[k],
-                alpha=alpha,
                 mask=mask,
             )
         )
@@ -290,9 +294,6 @@ class AdamState:
     lr: float
     m: list
     v: list
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     _flat: np.ndarray = field(init=False, repr=False, compare=False)
     _updates: list = field(init=False, repr=False, compare=False)
@@ -317,12 +318,12 @@ class AdamState:
         self._updates = views(self._flat[3], ())
 
 
-def init_adam(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def init_adam(params, lr):
     # lr == 0 is allowed (a deliberate no-op optimizer); negative is not.
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
     zeros = [np.zeros(np.shape(p)) for p in params]
-    return AdamState(lr=lr, m=zeros, v=zeros, beta1=beta1, beta2=beta2, eps=eps)
+    return AdamState(lr=lr, m=zeros, v=zeros)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -344,22 +345,22 @@ def adam_step(params, grads, state: AdamState):
         raise NumericError("non-finite gradient entry; update rejected")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=s)
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
     m += s
     np.multiply(g, g, out=s)
-    s *= 1.0 - state.beta2
-    v *= state.beta2
+    s *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += s
     # s = lr (m / bc1) / (sqrt(v / bc2) + eps)
     np.divide(m, bc1, out=s)
     s *= state.lr
     np.divide(v, bc2, out=g)
     np.sqrt(g, out=g)
-    g += state.eps
+    g += ADAM_EPS
     s /= g
     for p, step in zip(params, state._updates):
         p -= step

@@ -6,11 +6,13 @@ batch's per-example Jacobian norms into an importance-weighted latent
 dataset, fits a fresh flow to it by maximum likelihood, and draws all
 subsequent noise through the flow's inverse.
 
-Batch indexing: the warm-start batch is index 0; adversarial batches are
-1..max_iters.  ``TrainState.iteration`` counts completed batches, so it
-always equals the index of the next adversarial batch.  A refresh fires
-after batch i exactly when i % refresh_t == 0, and metric rows are
-emitted at batch 0 and every eval_interval batches.
+Batch indexing: batches are 0..max_iters, all run by one loop of
+adversarial steps; batch 0 (the warm start) is the loop's first step, and
+a fresh state has no flow, so its noise is standard normal.
+``TrainState.iteration`` counts completed batches, so it always equals the
+index of the next batch.  A refresh fires after batch i exactly when
+i > 0 and i % refresh_t == 0, and metric rows are emitted at batch 0 and
+every eval_interval batches.
 
 Randomness is split across three independent streams so that runs remain
 comparable and resumable: a model stream (weights, noise, flow fitting),
@@ -136,14 +138,18 @@ def parse_fields(cls, section, where):
         raise ConfigError(f"{where}: {err}") from err
 
 
-def resumed_config(config: TrainConfig, saved: TrainConfig) -> TrainConfig:
-    """The checkpoint's config run on to config.max_iters; ConfigError if
-    config differs from it in any other field."""
+def resumed_config(config: TrainConfig, saved: TrainState) -> TrainConfig:
+    """The saved state's config run on to config.max_iters; ConfigError if
+    config differs from it in any other field, or if max_iters is below the
+    last batch the state completed (an equal one runs nothing)."""
     changed = [f.name for f in fields(TrainConfig) if f.name != "max_iters"
-               and getattr(config, f.name) != getattr(saved, f.name)]
+               and getattr(config, f.name) != getattr(saved.config, f.name)]
     if changed:
         raise ConfigError(f"resume changes the checkpoint's {', '.join(changed)}")
-    return replace(saved, max_iters=config.max_iters).validate()
+    if config.max_iters < saved.iteration - 1:
+        raise ConfigError(f"resume to max_iters {config.max_iters} is below the "
+                          f"checkpoint's last completed batch {saved.iteration - 1}")
+    return replace(saved.config, max_iters=config.max_iters).validate()
 
 
 @dataclass
@@ -272,7 +278,9 @@ def _update_generator(state: TrainState, x_fake, g_cache):
     return g_loss
 
 
-def _step(state: TrainState, real_batch, latents):
+def adversarial_step(state: TrainState, real_batch):
+    """One D update and one G update on the same noise batch."""
+    latents = sample_noise(state, state.config.batch_size, state.model_rng)
     x_fake, g_cache = gen_forward(state, latents)
     d_loss = _update_discriminator(state, real_batch, x_fake)
     g_loss = _update_generator(state, x_fake, g_cache)
@@ -287,31 +295,12 @@ def _step(state: TrainState, real_batch, latents):
     return d_loss, g_loss
 
 
-def warm_start_step(state: TrainState, real_batch):
-    """Batch 0: one D and one G update; a fresh state has no flow, so its
-    noise is standard normal."""
-    if state.iteration != 0:
-        raise TrainError("warm start requires iteration == 0",
-                         iteration=state.iteration)
-    z = sample_noise(state, state.config.batch_size, state.model_rng)
-    return _step(state, real_batch, z)
-
-
-def adversarial_step(state: TrainState, real_batch):
-    """One D update and one G update on the same noise batch."""
-    if state.iteration < 1:
-        raise TrainError("adversarial steps require a completed warm start",
-                         iteration=state.iteration)
-    z = sample_noise(state, state.config.batch_size, state.model_rng)
-    return _step(state, real_batch, z)
-
-
 def flow_refresh(state: TrainState, clock=time.perf_counter):
     """Re-fit the noise flow from the last batch's Jacobian norms.
 
-    Fires after batch i when i % refresh_t == 0 (state.iteration has
-    already advanced past i).  A degenerate batch (all-zero norms) logs a
-    warning and leaves the previous flow in place.
+    Fires after batch i when i > 0 and i % refresh_t == 0 (state.iteration
+    has already advanced past i).  A degenerate batch (all-zero norms) logs
+    a warning and leaves the previous flow in place.
     """
     cfg = state.config
     if cfg.mode != "fis":
@@ -403,8 +392,8 @@ def evaluate(state: TrainState, ctx: EvalContext, iteration, n):
 def train(config: TrainConfig, dataset: Dataset, metrics_sink=None,
           image_sink=None, eval_options: EvalOptions | None = None,
           clock=None, state: TrainState | None = None) -> RunSummary:
-    """Warm start plus max_iters adversarial batches with scheduled
-    refreshes and periodic metric emission.
+    """Batches 0..max_iters with scheduled refreshes and periodic metric
+    emission.
 
     metrics_sink receives each MetricRow; image_sink, when given and the
     data is square-image shaped, receives (iteration, samples, side).
@@ -418,7 +407,7 @@ def train(config: TrainConfig, dataset: Dataset, metrics_sink=None,
     if state is None:
         state = init_state(config, dataset)
     else:
-        state.config = resumed_config(config, state.config)
+        state.config = resumed_config(config, state)
     config = state.config  # the run's one config from here on
     ctx = build_eval_context(config, dataset, eval_options)
     start = clock()
@@ -444,13 +433,10 @@ def train(config: TrainConfig, dataset: Dataset, metrics_sink=None,
             count = min(ctx.options.grid_count, samples.shape[0])
             image_sink(iteration, samples[:count], ctx.grid_side)
 
-    if state.iteration == 0:
-        d_loss, g_loss = warm_start_step(state, draw_real_batch(state, dataset))
-        emit(0, d_loss, g_loss)
     while state.iteration <= config.max_iters:
         i = state.iteration
         d_loss, g_loss = adversarial_step(state, draw_real_batch(state, dataset))
-        if config.mode == "fis" and i % config.refresh_t == 0:
+        if config.mode == "fis" and i > 0 and i % config.refresh_t == 0:
             flow_refresh(state, clock=clock)
         if i % eval_options.interval == 0:
             emit(i, d_loss, g_loss)

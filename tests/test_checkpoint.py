@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -49,8 +50,10 @@ def test_save_load_round_trip(tmp_path, flow_kind):
     summary = train.train(config, ds, clock=fake_clock(),
                           eval_options=train.EvalOptions(interval=4, samples=64))
     path = tmp_path / "state.ckpt"
-    # the header's experiment echo must itself be a valid experiment
-    echo = {"dataset": {"kind": "synthetic", "spec": {"kind": "ring", "count": 512}}}
+    # the header's experiment echo must itself be a valid experiment, with
+    # the state's own config as its train section
+    echo = {"train": dataclasses.asdict(config),
+            "dataset": {"kind": "synthetic", "spec": {"kind": "ring", "count": 512}}}
     checkpoint.save_checkpoint(path, summary.state, experiment=echo)
     loaded, experiment = checkpoint.load_checkpoint(path, ds)
     assert experiment == echo
@@ -102,13 +105,19 @@ def test_resume_with_changed_config_writes_no_row(tmp_path):
     path = tmp_path / "half.ckpt"
     checkpoint.save_checkpoint(path, first.state)
     rows = []
-    for changed in (cfg(max_iters=16, mode="baseline"), cfg(max_iters=16, refresh_t=2)):
+    # the checkpoint completed batches 0..8, so max_iters 7 would end before it
+    for changed in (cfg(max_iters=16, mode="baseline"), cfg(max_iters=16, refresh_t=2),
+                    cfg(max_iters=7)):
         resumed_state, _ = checkpoint.load_checkpoint(path, ds)
         with pytest.raises(ConfigError):
             train.train(changed, ds, metrics_sink=rows.append, clock=fake_clock(),
                         eval_options=eval_options, state=resumed_state)
     assert rows == []
-    # max_iters is the one field a resume may change
+    # max_iters is the one field a resume may change; 8 runs nothing
+    resumed_state, _ = checkpoint.load_checkpoint(path, ds)
+    assert train.train(cfg(max_iters=8), ds, metrics_sink=rows.append, clock=fake_clock(),
+                       eval_options=eval_options, state=resumed_state).iterations == 8
+    assert rows == []
     resumed_state, _ = checkpoint.load_checkpoint(path, ds)
     second = train.train(cfg(max_iters=12), ds, clock=fake_clock(),
                          eval_options=eval_options, state=resumed_state)
@@ -133,12 +142,10 @@ def _flow_structure(flow):
         if isinstance(layer, flows.PermutationLayer):
             out.append(("perm", layer.perm, layer.inv_perm))
         elif isinstance(layer, flows.CouplingLayer):
-            out.append(("coupling", layer.mask, layer.idx_in, layer.idx_out,
-                         layer.scale_clamp))
+            out.append(("coupling", layer.mask, layer.idx_in, layer.idx_out))
         else:
-            out.append(("ar", layer.degrees, layer.direction, layer.scale_clamp,
-                        layer.degree_order, [dense.mask for dense in layer.net.layers],
-                        layer._finals))
+            out.append(("ar", layer.degrees, layer.direction, layer.degree_order,
+                        [dense.mask for dense in layer.net.layers], layer._finals))
     return out
 
 
@@ -155,6 +162,42 @@ def test_round_trip_keeps_flow_structure(tmp_path, flow_kind):
     _assert_same(_flow_structure(loaded.flow), _flow_structure(state.flow))
     z = np.random.default_rng(3).standard_normal((16, config.latent_dim))
     assert np.array_equal(flows.log_prob(loaded.flow, z), flows.log_prob(state.flow, z))
+
+
+# format 3's tensor names and shapes for a small maf state: latent 6, ring
+# data (2-d), G 6-128-256-2, D 2-256-128-1, one masked flow net 6-12-12-12
+GOLDEN_TENSORS = {
+    "g.l0.w": (128, 6), "g.l0.b": (128,), "g.l1.w": (256, 128), "g.l1.b": (256,),
+    "g.l2.w": (2, 256), "g.l2.b": (2,),
+    "d.l0.w": (256, 2), "d.l0.b": (256,), "d.l1.w": (128, 256), "d.l1.b": (128,),
+    "d.l2.w": (1, 128), "d.l2.b": (1,),
+    "adam_g.m0": (128, 6), "adam_g.m1": (128,), "adam_g.m2": (256, 128),
+    "adam_g.m3": (256,), "adam_g.m4": (2, 256), "adam_g.m5": (2,),
+    "adam_g.v0": (128, 6), "adam_g.v1": (128,), "adam_g.v2": (256, 128),
+    "adam_g.v3": (256,), "adam_g.v4": (2, 256), "adam_g.v5": (2,),
+    "adam_d.m0": (256, 2), "adam_d.m1": (256,), "adam_d.m2": (128, 256),
+    "adam_d.m3": (128,), "adam_d.m4": (1, 128), "adam_d.m5": (1,),
+    "adam_d.v0": (256, 2), "adam_d.v1": (256,), "adam_d.v2": (128, 256),
+    "adam_d.v3": (128,), "adam_d.v4": (1, 128), "adam_d.v5": (1,),
+    "flow.p0": (12, 6), "flow.p1": (12,), "flow.p2": (12, 12), "flow.p3": (12,),
+    "flow.p4": (12, 12), "flow.p5": (12,),
+}
+
+
+def test_tensor_names_are_pinned(tmp_path):
+    """Save and load share one name table, so a rename there would still
+    round-trip; this list pins the names the format-3 files carry."""
+    ds = ring_dataset()
+    config = cfg(flow_kind="maf", flow_depth=1)
+    state = train.init_state(config, ds)
+    state.flow = flows.build_flow("maf", config.latent_dim, np.random.default_rng(9),
+                                  depth=config.flow_depth, hidden=config.flow_hidden)
+    path = tmp_path / "state.ckpt"
+    checkpoint.save_checkpoint(path, state)
+    blob = path.read_bytes()
+    _, offset = checkpoint.read_header(blob, path)
+    stored = checkpoint._read_tensors(blob, offset, path)
+    assert {name: arr.shape for name, arr in stored.items()} == GOLDEN_TENSORS
 
 
 def test_bad_magic(tmp_path):
@@ -281,6 +324,15 @@ def _set(*keys, value):
     return edit
 
 
+def _set_train(key, value):
+    """Edit config and its experiment.train copy alike, so the edit passes
+    the check that the two agree and reaches the one it was written for."""
+    def edit(header):
+        header["config"][key] = value
+        header["experiment"]["train"][key] = value
+    return edit
+
+
 HEADER_EDITS = {
     "rng_not_a_dict": _set("model_rng", value=5),
     "rng_wrong_generator": _set("data_rng", "bit_generator", value="MT19937"),
@@ -298,7 +350,7 @@ HEADER_EDITS = {
     "experiment_spec_type": _set("experiment", "dataset", "spec", "count", value="x"),
     "flow_not_dict": _set("flow", value="x"),
     "flow_perms_on_iaf": _set("flow", value=[[1, 0, 2, 3]]),
-    "config_flow_depth_lower": _set("config", "flow_depth", value=2),
+    "config_flow_depth_lower": _set_train("flow_depth", 2),
     "experiment_run_name_int": _set("experiment", "run_name", value=5),
     "experiment_out_dir_list": _set("experiment", "out_dir", value=["a"]),
     "experiment_crop_border_str": _set("experiment", "dataset", value={
@@ -327,11 +379,6 @@ def test_wrong_typed_header_value_raises_format_error(cli_iaf_checkpoint, edit):
     _assert_rejected(path, dataset)
 
 
-def _baseline_mode(header):
-    header["config"]["mode"] = "baseline"
-    header["experiment"]["train"]["mode"] = "baseline"
-
-
 # edits of the realnvp fixture, whose flow has exactly one permutation
 FLOW_EDITS = {
     "perm_not_permutation": _set("flow", 0, value=[0, 0, 0, 0]),
@@ -339,8 +386,8 @@ FLOW_EDITS = {
     "perms_one_too_many": lambda header: header["flow"].append(header["flow"][0]),
     "perms_one_too_few": lambda header: header["flow"].pop(),
     "flow_v2_layout": _set("flow", value={"kind": "realnvp", "dim": 4, "layers": []}),
-    "flow_under_baseline": _baseline_mode,
-    "config_flow_kind_maf": _set("config", "flow_kind", value="maf"),
+    "flow_under_baseline": _set_train("mode", "baseline"),
+    "config_flow_kind_maf": _set_train("flow_kind", "maf"),
 }
 
 
@@ -376,3 +423,16 @@ def test_nonzero_masked_flow_weight_raises_format_error(cli_iaf_checkpoint):
     with pytest.raises(FormatError, match="outside their masks"):
         checkpoint.load_checkpoint(leaked, dataset)
     _assert_rejected(leaked, dataset)
+
+
+@pytest.mark.parametrize("edits", [{"seed": 7}, {"lr_g": 0.5, "seed": 7}])
+def test_echo_train_differing_from_config_raises_format_error(cli_checkpoint, edits):
+    root, blob, dataset = cli_checkpoint
+    header, _ = checkpoint.read_header(blob, "final.ckpt")
+    header["experiment"]["train"].update(edits)
+    path = root / "edited.ckpt"
+    path.write_bytes(_with_header(blob, header))
+    with pytest.raises(FormatError) as err:
+        checkpoint.read_header(path.read_bytes(), path)
+    assert str(err.value).endswith(f"differs from its config in {', '.join(edits)}")
+    _assert_rejected(path, dataset)

@@ -179,6 +179,15 @@ def test_invalid_idx_dataset_value_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "runs").exists()
 
 
+def test_empty_idx_images_exit_1(tmp_path, capsys):
+    images = tmp_path / "images.idx"
+    data.write_idx(np.zeros((5, 0, 0), dtype=np.uint8), images)
+    cfg = write_config(tmp_path, dataset={"kind": "idx", "images": str(images)})
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("format error")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_dataset_path(tmp_path, capsys):
     cfg = write_config(
         tmp_path, dataset={"kind": "idx", "images": "nowhere.idx"}
@@ -427,3 +436,41 @@ def test_cli_resume_with_changed_config_exits_2(tmp_path, capsys, flags, over):
                      "--resume", str(run_dir / "final.ckpt")]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert (run_dir / "metrics.csv").read_bytes() == before
+
+
+def _run_dir_bytes(run_dir):
+    return {str(path.relative_to(run_dir)): path.read_bytes()
+            for path in sorted(run_dir.rglob("*")) if path.is_file()}
+
+
+def test_cli_resume_below_completed_batches_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, **{"train.max_iters": 10})
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "runs" / "t0"
+    ckpt = str(run_dir / "final.ckpt")
+    before = _run_dir_bytes(run_dir)
+    capsys.readouterr()
+    # the checkpoint completed batches 0..10
+    assert cli.main(["train", "--config", str(cfg), "--max-iters", "9",
+                     "--resume", ckpt]) == 2
+    assert "below the checkpoint's last completed batch 10" in capsys.readouterr().err
+    assert _run_dir_bytes(run_dir) == before
+    # resuming to the batch it stopped at runs nothing and adds no row
+    assert cli.main(["train", "--config", str(cfg), "--resume", ckpt]) == 0
+    assert (run_dir / "metrics.csv").read_bytes() == before["metrics.csv"]
+
+
+def test_cli_resume_summary_describes_whole_run(tmp_path):
+    cfg = write_config(tmp_path, **{"train.max_iters": 20, "eval": {"interval": 10,
+                                                                    "samples": 64}})
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "runs" / "t0"
+    # 20 -> 25 emits no row of its own: the eval interval is 10
+    assert cli.main(["train", "--config", str(cfg), "--max-iters", "25",
+                     "--resume", str(run_dir / "final.ckpt")]) == 0
+    _, rows = data.read_metrics_csv(run_dir / "metrics.csv")
+    assert [r.iteration for r in rows] == [0, 10, 20]
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["rows"] == 3
+    assert summary["final_proxy_fid"] == rows[-1].proxy_fid
+    assert summary["iterations"] == 25

@@ -52,6 +52,17 @@ def test_idx_truncated_payload(tmp_path):
     assert "offset 16" in str(err.value)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_idx_empty_images_rejected(tmp_path, rows, cols):
+    import struct
+
+    path = tmp_path / "empty.idx"
+    path.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 5, rows, cols))
+    with pytest.raises(FormatError) as err:
+        data.load_idx(path)
+    assert f"{rows} x {cols}" in str(err.value)
+
+
 def test_idx_label_count_mismatch(tmp_path):
     import struct
 

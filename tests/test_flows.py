@@ -68,11 +68,11 @@ def test_coupling_constant_log_scale():
     shift_net = nn.build_mlp(rng, [3, 8, 2], ["tanh", "identity"], zero_last=True)
     b = 0.7
     scale_net.layers[-1].bias[:] = b
-    layer = flows.CouplingLayer(mask, scale_net, shift_net, scale_clamp=3.0)
+    layer = flows.CouplingLayer(mask, scale_net, shift_net)
     flow = flows.FlowModel([layer], dim, "realnvp")
     z = rng.standard_normal((10, dim))
     _, log_det = flows.forward_map(flow, z)
-    expected = 2 * 3.0 * math.tanh(b)
+    expected = 2 * flows.SCALE_CLAMP * math.tanh(b)
     assert np.max(np.abs(log_det - expected)) < 1e-12
 
 
@@ -213,10 +213,18 @@ def test_fit_improves_on_own_training_set():
     assert hits >= 9
 
 
+def random_masked_net(rng, degrees, hidden):
+    """A MADE net like the flows' own, but with a Glorot-random last layer
+    instead of the zero one that makes a fresh flow the identity."""
+    d = len(degrees)
+    return nn.build_mlp(rng, [d, hidden, hidden, 2 * d], ["tanh", "tanh", "identity"],
+                        masks=flows.made_masks(degrees, [hidden, hidden]))
+
+
 def test_maf_iaf_duality_same_arithmetic():
     rng = np.random.default_rng(15)
     degrees = np.arange(1, 5)
-    net = flows._masked_subnet(rng, degrees, hidden=16, zero_last=False)
+    net = random_masked_net(rng, degrees, hidden=16)
     maf = flows.AutoregressiveLayer(net, degrees, direction="maf")
     iaf = flows.AutoregressiveLayer(net, degrees, direction="iaf")
     w = rng.standard_normal((32, 4))
@@ -317,7 +325,7 @@ def reference_generate(layer, u):
     d = layer.dim
     for i in layer.degree_order:
         out = nn.predict(layer.net, w)
-        s_i = layer.scale_clamp * np.tanh(out[:, d + i])
+        s_i = flows.SCALE_CLAMP * np.tanh(out[:, d + i])
         w[:, i] = u[:, i] * np.exp(s_i) + out[:, i]
     return w
 
@@ -331,7 +339,7 @@ def reference_backward_generate(layer, payload, g_h, g_log_det):
     g_acc = g_h.copy()
     g_z = np.zeros_like(g_h)
     total = [np.zeros_like(p) for p in layer.net.parameters()]
-    dth = layer.scale_clamp * (1.0 - th * th)
+    dth = flows.SCALE_CLAMP * (1.0 - th * th)
     for i in layer.degree_order[::-1]:
         gi = g_acc[:, i]
         es_i = np.exp(s[:, i])
@@ -350,7 +358,7 @@ def random_ar_layer(rng, degrees, hidden, direction="iaf", keep=1.0):
     """Autoregressive layer with generic (non-identity) weights.  keep < 1
     drops that share of the MADE connections at random, which keeps the
     net autoregressive and leaves some units reading no input at all."""
-    net = flows._masked_subnet(rng, degrees, hidden, zero_last=False)
+    net = random_masked_net(rng, degrees, hidden)
     for dense in net.layers:
         dense.mask *= rng.random(dense.mask.shape) < keep
         dense.weights[...] = rng.standard_normal(dense.weights.shape) * dense.mask

@@ -43,19 +43,11 @@ def fake_clock():
 def test_warm_start_counter_and_no_flow():
     ds = ring_dataset()
     state = train.init_state(small_config(), ds)
-    d_loss, g_loss = train.warm_start_step(state, train.draw_real_batch(state, ds))
+    d_loss, g_loss = train.adversarial_step(state, train.draw_real_batch(state, ds))
     assert state.iteration == 1
     assert state.flow is None
     assert math.isfinite(d_loss) and math.isfinite(g_loss)
     assert d_loss <= 2 * math.log(2) + 1
-
-
-def test_warm_start_requires_iteration_zero():
-    ds = ring_dataset()
-    state = train.init_state(small_config(), ds)
-    train.warm_start_step(state, train.draw_real_batch(state, ds))
-    with pytest.raises(TrainError):
-        train.warm_start_step(state, train.draw_real_batch(state, ds))
 
 
 def test_modes_share_warm_start_bitwise():
@@ -63,7 +55,7 @@ def test_modes_share_warm_start_bitwise():
     results = {}
     for mode in ("baseline", "fis"):
         state = train.init_state(small_config(mode=mode), ds)
-        train.warm_start_step(state, train.draw_real_batch(state, ds))
+        train.adversarial_step(state, train.draw_real_batch(state, ds))
         results[mode] = (
             [p.copy() for p in state.gen.parameters()],
             [p.copy() for p in state.disc.parameters()],
@@ -123,7 +115,7 @@ def test_discriminator_learns_separable_data():
     state = train.init_state(cfg, ds)
     # freeze G so the fake set stays put near tanh-squashed init outputs
     state.adam_g.lr = 0.0
-    train.warm_start_step(state, train.draw_real_batch(state, ds))
+    train.adversarial_step(state, train.draw_real_batch(state, ds))
     d_loss = None
     for _ in range(500):
         d_loss, _ = train.adversarial_step(state, train.draw_real_batch(state, ds))
@@ -135,7 +127,7 @@ def test_discriminator_learns_separable_data():
 def test_zero_learning_rates_keep_parameters():
     ds = ring_dataset()
     state = train.init_state(small_config(mode="baseline"), ds)
-    train.warm_start_step(state, train.draw_real_batch(state, ds))
+    train.adversarial_step(state, train.draw_real_batch(state, ds))
     state.adam_g.lr = 0.0
     state.adam_d.lr = 0.0
     gen_before = [p.copy() for p in state.gen.parameters()]
@@ -151,7 +143,7 @@ def test_steps_deterministic():
 
     def run():
         state = train.init_state(small_config(mode="baseline"), ds)
-        train.warm_start_step(state, train.draw_real_batch(state, ds))
+        train.adversarial_step(state, train.draw_real_batch(state, ds))
         out = []
         for _ in range(2):
             out.append(train.adversarial_step(state, train.draw_real_batch(state, ds)))
@@ -163,7 +155,7 @@ def test_steps_deterministic():
 def test_step_asks_only_for_gradients_it_uses(monkeypatch):
     ds = ring_dataset()
     state = train.init_state(small_config(mode="baseline"), ds)
-    train.warm_start_step(state, train.draw_real_batch(state, ds))
+    train.adversarial_step(state, train.draw_real_batch(state, ds))
     calls = []
     original = nn.backward
 
@@ -177,13 +169,6 @@ def test_step_asks_only_for_gradients_it_uses(monkeypatch):
     # the G update needs D's input gradient, then G's parameter gradients
     assert calls == [(state.disc, True, False), (state.disc, False, True),
                      (state.gen, True, False)]
-
-
-def test_adversarial_step_requires_warm_start():
-    ds = ring_dataset()
-    state = train.init_state(small_config(), ds)
-    with pytest.raises(TrainError):
-        train.adversarial_step(state, train.draw_real_batch(state, ds))
 
 
 def test_refresh_schedule_exact():
@@ -207,7 +192,7 @@ def test_no_refresh_in_baseline():
 def test_unscheduled_refresh_rejected():
     ds = ring_dataset()
     state = train.init_state(small_config(refresh_t=10), ds)
-    train.warm_start_step(state, train.draw_real_batch(state, ds))
+    train.adversarial_step(state, train.draw_real_batch(state, ds))
     train.adversarial_step(state, train.draw_real_batch(state, ds))
     # completed batch 1, refresh_t 10: not scheduled
     with pytest.raises(TrainError):
@@ -218,7 +203,7 @@ def test_degenerate_norms_skip_refresh(caplog):
     ds = ring_dataset()
     cfg = small_config(refresh_t=1, latent_dim=4)
     state = train.init_state(cfg, ds)
-    train.warm_start_step(state, train.draw_real_batch(state, ds))
+    train.adversarial_step(state, train.draw_real_batch(state, ds))
     train.adversarial_step(state, train.draw_real_batch(state, ds))
     # dead generator: all-zero weights means all-zero Jacobian norms
     for p in state.gen.parameters():

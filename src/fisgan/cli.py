@@ -33,22 +33,21 @@ ABLATION_AXES = {"norm": norms.NORM_KINDS, "flow": flows.FLOW_KINDS}
 
 def _load_effective_config(args):
     cfg = config_mod.load_experiment(args.config)
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = config_mod.apply_preset(cfg, args.preset)
-    cfg = config_mod.apply_overrides(
+    return config_mod.apply_overrides(
         cfg,
-        mode=getattr(args, "mode", None),
-        seed=getattr(args, "seed", None),
-        max_iters=getattr(args, "max_iters", None),
-        out=getattr(args, "out", None),
-        run_name=getattr(args, "run_name", None),
+        mode=args.mode,
+        seed=args.seed,
+        max_iters=args.max_iters,
+        out=args.out,
+        run_name=args.run_name,
     )
-    return cfg
 
 
 def run_experiment(cfg: config_mod.ExperimentConfig, resume_path=None):
     """Execute one configured run and write all artifacts; returns the
-    run directory and summary."""
+    run directory and the run totals written to summary.json."""
     dataset = config_mod.build_dataset(cfg)
     state = None
     if resume_path is not None:
@@ -73,16 +72,16 @@ def run_experiment(cfg: config_mod.ExperimentConfig, resume_path=None):
                               pixel_range=dataset.pixel_range)
 
     with data.MetricsCsvWriter(csv_path, append=appending) as sink:
-        summary = train.train(
+        state = train.train(
             cfg.train,
             dataset,
             metrics_sink=sink.write,
             image_sink=image_sink,
             eval_options=cfg.eval,
             state=state,
-        )
+        ).state
     checkpoint.save_checkpoint(
-        os.path.join(run_dir, "final.ckpt"), summary.state,
+        os.path.join(run_dir, "final.ckpt"), state,
         experiment=cfg.effective_dict(),
     )
     # the CSV holds the whole run's rows, a resumed run's earlier ones too
@@ -90,32 +89,36 @@ def run_experiment(cfg: config_mod.ExperimentConfig, resume_path=None):
     summary_doc = {
         "run_name": run_name,
         "config_hash": cfg.config_hash(),
-        "iterations": summary.iterations,
-        "refresh_count": summary.refresh_count,
-        "refresh_ms_total": summary.refresh_ms_total,
+        "iterations": state.iteration - 1,
+        "refresh_count": state.refresh_count,
+        "refresh_ms_total": state.refresh_ms_total,
         "final_proxy_fid": csv_rows[-1].proxy_fid if csv_rows else None,
         "rows": len(csv_rows),
     }
     with data.replaced_atomically(os.path.join(run_dir, "summary.json")) as fh:
         json.dump(summary_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return run_dir, summary
+    return run_dir, summary_doc
 
 
 def cmd_train(args):
     cfg = _load_effective_config(args)
     run_dir, summary = run_experiment(cfg, resume_path=args.resume)
-    last = summary.rows[-1] if summary.rows else None
-    fid = f"{last.proxy_fid:.6g}" if last else "n/a"
+    fid = summary["final_proxy_fid"]
+    fid = "n/a" if fid is None else f"{fid:.6g}"
     print(f"run {os.path.basename(run_dir)} finished: "
-          f"{summary.iterations} iterations, proxy_fid {fid}, "
+          f"{summary['iterations']} iterations, proxy_fid {fid}, "
           f"artifacts in {run_dir}")
     return 0
 
 
 def _run_ablation_variant(sub_cfg):
-    run_dir, _ = run_experiment(sub_cfg)
-    return os.path.join(run_dir, "metrics.csv")
+    """Run one ablation variant; its FisGanError, or None on success."""
+    try:
+        run_experiment(sub_cfg)
+    except FisGanError as err:
+        return err
+    return None
 
 
 def cmd_ablate(args):
@@ -132,6 +135,9 @@ def cmd_ablate(args):
                 f"value {value!r} not valid for axis {args.axis!r}; "
                 f"choices: {list(axis_values)}"
             )
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"--values repeats {', '.join(repeated)}")
     base_name = cfg.resolved_run_name()
     merged_path = os.path.join(cfg.out_dir, f"ablate_{args.axis}.csv")
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -143,51 +149,31 @@ def cmd_ablate(args):
         else:
             sub.train.flow_kind = value
         sub.run_name = f"{base_name}-{args.axis}-{value}"
-        subs.append((value, sub))
-    failures = []
-    completed = []
-
-    def note_result(value, sub, err):
-        if err is None:
-            completed.append(
-                (value, os.path.join(sub.out_dir, sub.run_name, "metrics.csv"))
-            )
-            return
-        failures.append((value, err))
-        partial = os.path.join(sub.out_dir, sub.run_name, "metrics.csv")
-        if os.path.exists(partial):
-            completed.append((value, partial))
-        log.error("ablation run %s failed: %s", value, err)
-
+        subs.append(sub)
     if args.jobs > 1:
         # runs are fully independent: disjoint output dirs, own rng streams
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(value, sub, pool.submit(_run_ablation_variant, sub))
-                       for value, sub in subs]
-            for value, sub, fut in futures:
-                try:
-                    fut.result()
-                    note_result(value, sub, None)
-                except FisGanError as err:
-                    note_result(value, sub, err)
+            errors = list(pool.map(_run_ablation_variant, subs))
     else:
-        for value, sub in subs:
-            try:
-                _run_ablation_variant(sub)
-                note_result(value, sub, None)
-            except FisGanError as err:
-                note_result(value, sub, err)
-    completed.sort(key=lambda pair: values.index(pair[0]))
+        errors = list(map(_run_ablation_variant, subs))
+    merged = failures = 0
     with open(merged_path, "w", newline="\n") as fh:
         fh.write("variant," + ",".join(data.CSV_HEADER) + "\n")
-        for value, csv_path in completed:
+        for value, sub, err in zip(values, subs, errors):
+            csv_path = os.path.join(sub.out_dir, sub.run_name, "metrics.csv")
+            if err is not None:
+                failures += 1
+                log.error("ablation run %s failed: %s", value, err)
+                if not os.path.exists(csv_path):
+                    continue
             _, rows = data.read_metrics_csv(csv_path)
             for row in rows:
                 fh.write(f"{value}," + ",".join(row.as_csv_fields()) + "\n")
+            merged += 1
     print(f"merged ablation CSV: {merged_path} "
-          f"({len(completed)} runs, {len(failures)} failures)")
+          f"({merged} runs, {failures} failures)")
     return 1 if failures else 0
 
 
@@ -268,31 +254,29 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run one configured experiment")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--mode", choices=train.MODES)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--max-iters", type=int, dest="max_iters")
-    p_train.add_argument("--out")
-    p_train.add_argument("--preset", choices=sorted(config_mod.PRESETS))
-    p_train.add_argument("--run-name", dest="run_name")
+    # the experiment file and its overrides, shared by train and ablate
+    run_options = argparse.ArgumentParser(add_help=False)
+    run_options.add_argument("--config", required=True)
+    run_options.add_argument("--mode", choices=train.MODES)
+    run_options.add_argument("--seed", type=int)
+    run_options.add_argument("--max-iters", type=int, dest="max_iters")
+    run_options.add_argument("--out")
+    run_options.add_argument("--preset", choices=sorted(config_mod.PRESETS))
+    run_options.add_argument("--run-name", dest="run_name")
+
+    p_train = sub.add_parser("train", parents=[run_options],
+                             help="run one configured experiment")
     p_train.add_argument("--resume", help="checkpoint to continue from")
     p_train.set_defaults(func=cmd_train)
 
-    p_ablate = sub.add_parser("ablate", help="sweep one axis, shared seed")
-    p_ablate.add_argument("--config", required=True)
+    p_ablate = sub.add_parser("ablate", parents=[run_options],
+                              help="sweep one axis, shared seed")
     p_ablate.add_argument("--axis", required=True, choices=sorted(ABLATION_AXES))
     p_ablate.add_argument("--values", required=True,
                           help="comma-separated axis values")
-    p_ablate.add_argument("--mode", choices=train.MODES)
-    p_ablate.add_argument("--seed", type=int)
-    p_ablate.add_argument("--max-iters", type=int, dest="max_iters")
-    p_ablate.add_argument("--out")
-    p_ablate.add_argument("--preset", choices=sorted(config_mod.PRESETS))
-    p_ablate.add_argument("--run-name", dest="run_name")
     p_ablate.add_argument("--jobs", type=int, default=1,
                           help="run variants in parallel processes")
-    p_ablate.set_defaults(func=cmd_ablate, resume=None)
+    p_ablate.set_defaults(func=cmd_ablate)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)

@@ -16,9 +16,8 @@ Three layer families:
 * ``PermutationLayer``: fixed coordinate shuffle, zero log-det.
 
 Log-scales are passed through tanh and multiplied by ``SCALE_CLAMP``, which
-keeps every per-layer determinant inside [exp(-clamp*d), exp(clamp*d)] and
-makes the log-det arithmetic exact; any determinant that is ever formed as
-a raw number is floored before taking its log (see ``safe_log_abs``).
+keeps every per-layer determinant inside [exp(-clamp*d), exp(clamp*d)];
+each log-det is a sum of log-scales.
 
 Density convention (z = data side, h = base side):
 
@@ -38,19 +37,12 @@ import numpy as np
 from . import nn
 from .errors import NumericError, ShapeError
 
-_DET_FLOOR = 1e-9
-
 LOG_2PI = math.log(2.0 * math.pi)
 
 FLOW_KINDS = ("realnvp", "maf", "iaf")
 
 # bound on every per-dimension log-scale: clamp * tanh(raw)
 SCALE_CLAMP = 3.0
-
-
-def safe_log_abs(x):
-    """log|x| with |x| floored at 1e-9, for det-to-log conversions."""
-    return np.log(np.maximum(np.abs(x), _DET_FLOOR))
 
 
 class CouplingLayer:
@@ -155,11 +147,9 @@ def made_masks(degrees_in, hidden_sizes):
     hidden_span = max(1, d - 1)
     masks = []
     prev = np.asarray(degrees_in)
-    hidden_degrees = []
     for width in hidden_sizes:
         deg = np.arange(width) % hidden_span + 1
         masks.append((deg[:, None] >= prev[None, :]).astype(np.float64))
-        hidden_degrees.append(deg)
         prev = deg
     out_degrees = np.concatenate([degrees_in, degrees_in])
     masks.append((out_degrees[:, None] > prev[None, :]).astype(np.float64))
@@ -274,14 +264,13 @@ class AutoregressiveLayer:
 
     def forward(self, x):
         if self.direction == "maf":
-            u, log_det, cache = self._normalize(x)
-            return u, log_det, ("maf", cache)
+            return self._normalize(x)
         # iaf: density direction is the sequential rebuild; its log-det is
         # +sum s evaluated at the rebuilt output.
         h = self._generate(x)
         mu, s, th, net_cache = self._params(h)
         log_det = s.sum(axis=1)
-        return h, log_det, ("iaf", (x, h, mu, s, th, net_cache))
+        return h, log_det, (x, h, mu, s, th, net_cache)
 
     def inverse(self, y):
         if self.direction == "maf":
@@ -292,10 +281,9 @@ class AutoregressiveLayer:
     # --- reverse-mode ------------------------------------------------------
 
     def backward(self, cache, g_y, g_log_det):
-        kind, payload = cache
-        if kind == "maf":
-            return self._backward_normalize(payload, g_y, g_log_det)
-        return self._backward_generate(payload, g_y, g_log_det)
+        if self.direction == "maf":
+            return self._backward_normalize(cache, g_y, g_log_det)
+        return self._backward_generate(cache, g_y, g_log_det)
 
     def _backward_normalize(self, payload, g_u, g_log_det):
         w, u, mu, s, th, net_cache = payload

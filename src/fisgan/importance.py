@@ -18,11 +18,10 @@ from .errors import DegenerateBatchError, ShapeError
 
 @dataclass
 class LatentBatch:
-    """Latent points with their Jacobian norms and importance weights."""
+    """Latent points with their Jacobian norms."""
 
     latents: np.ndarray  # (n, d)
     norms: np.ndarray  # (n,)
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.latents = np.asarray(self.latents, dtype=np.float64)
@@ -31,11 +30,6 @@ class LatentBatch:
             raise ShapeError("norms must be one value per latent row")
         if np.any(self.norms < 0):
             raise ShapeError("norms must be nonnegative")
-
-    def with_weights(self):
-        if self.weights is None:
-            self.weights = importance_weights(self.norms)
-        return self
 
 
 @dataclass
@@ -94,6 +88,5 @@ def augment(latents, plan: AugmentationPlan, rng):
 
 def build_flow_dataset(batch: LatentBatch, total, rng):
     """Weights -> counts -> conditional-Gaussian draws, as one call."""
-    batch.with_weights()
-    plan = allocate_counts(batch.weights, total)
+    plan = allocate_counts(importance_weights(batch.norms), total)
     return augment(batch.latents, plan, rng)

@@ -10,8 +10,9 @@ Batch indexing: batches are 0..max_iters, all run by one loop of
 adversarial steps; batch 0 (the warm start) is the loop's first step, and
 a fresh state has no flow, so its noise is standard normal.
 ``TrainState.iteration`` counts completed batches, so it always equals the
-index of the next batch.  A refresh fires after batch i exactly when
-i > 0 and i % refresh_t == 0, and metric rows are emitted at batch 0 and
+index of the next batch.  The loop in ``train`` alone owns the schedule: it
+hands the latents of batch i to ``flow_refresh`` exactly when fis mode is
+on, i > 0 and i % refresh_t == 0, and emits metric rows at batch 0 and
 every eval_interval batches.
 
 Randomness is split across three independent streams so that runs remain
@@ -165,22 +166,14 @@ class TrainState:
     out_half: float
     iteration: int = 0
     flow: flows.FlowModel | None = None
-    last_latents: np.ndarray | None = None
     refresh_count: int = 0
     refresh_ms_total: float = 0.0
 
 
 @dataclass
 class RunSummary:
-    rows: list
-    iterations: int
-    refresh_count: int
-    refresh_ms_total: float
+    rows: list  # the MetricRows this call emitted
     state: TrainState
-
-
-def _sigmoid(u):
-    return nn.stable_sigmoid(np.asarray(u, dtype=np.float64))
 
 
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
@@ -256,8 +249,8 @@ def _update_discriminator(state: TrainState, x_real, x_fake):
     d_loss = float(np.logaddexp(0.0, -u_real).mean() + np.logaddexp(0.0, u_fake).mean())
     # gradient of the two batch means w.r.t. the logits
     upstream = np.empty((2 * n, 1))
-    upstream[:n, 0] = (_sigmoid(u_real) - 1.0) / n
-    upstream[n:, 0] = _sigmoid(u_fake) / n
+    upstream[:n, 0] = (nn.stable_sigmoid(u_real) - 1.0) / n
+    upstream[n:, 0] = nn.stable_sigmoid(u_fake) / n
     grads, _ = nn.backward(state.disc, cache, upstream, inputs=False)
     nn.adam_step(state.disc.parameters(), grads, state.adam_d)
     return d_loss
@@ -271,7 +264,7 @@ def _update_generator(state: TrainState, x_fake, g_cache):
     n = x_fake.shape[0]
     # non-saturating loss: minimize mean -log D = softplus(-u)
     g_loss = float(np.logaddexp(0.0, -u).mean())
-    d_up = (_sigmoid(u) - 1.0)[:, None] / n
+    d_up = (nn.stable_sigmoid(u) - 1.0)[:, None] / n
     _, g_x = nn.backward(state.disc, d_cache, d_up, params=False)
     grads, _ = nn.backward(state.gen, g_cache, g_x * state.out_half, inputs=False)
     nn.adam_step(state.gen.parameters(), grads, state.adam_g)
@@ -279,7 +272,8 @@ def _update_generator(state: TrainState, x_fake, g_cache):
 
 
 def adversarial_step(state: TrainState, real_batch):
-    """One D update and one G update on the same noise batch."""
+    """One D update and one G update on the same noise batch; returns the
+    two losses and the batch's latents."""
     latents = sample_noise(state, state.config.batch_size, state.model_rng)
     x_fake, g_cache = gen_forward(state, latents)
     d_loss = _update_discriminator(state, real_batch, x_fake)
@@ -290,42 +284,27 @@ def adversarial_step(state: TrainState, real_batch):
             f"d={d_loss} g={g_loss}",
             iteration=state.iteration,
         )
-    state.last_latents = latents
     state.iteration += 1
-    return d_loss, g_loss
+    return d_loss, g_loss, latents
 
 
-def flow_refresh(state: TrainState, clock=time.perf_counter):
-    """Re-fit the noise flow from the last batch's Jacobian norms.
+def flow_refresh(state: TrainState, latents, clock=time.perf_counter):
+    """Re-fit the noise flow from the Jacobian norms of latents, the batch
+    the step just trained on.
 
-    Fires after batch i when i > 0 and i % refresh_t == 0 (state.iteration
-    has already advanced past i).  A degenerate batch (all-zero norms) logs
-    a warning and leaves the previous flow in place.
+    ``train`` decides when a refresh runs; this function only does it.  A
+    degenerate batch (all-zero norms) logs a warning and leaves the
+    previous flow in place.
     """
     cfg = state.config
-    if cfg.mode != "fis":
-        raise TrainError("flow refresh is a fis-mode operation",
-                         iteration=state.iteration)
-    completed = state.iteration - 1
-    if completed < 1 or completed % cfg.refresh_t != 0:
-        raise TrainError(
-            f"refresh not scheduled after batch {completed}",
-            iteration=state.iteration,
-        )
-    if state.last_latents is None:
-        raise TrainError("no recorded batch to refresh from",
-                         iteration=state.iteration)
     start = clock()
-    raw = norms.batch_norms(state.gen, state.last_latents, cfg.norm_kind)
-    batch = importance.LatentBatch(
-        latents=state.last_latents, norms=raw * state.out_half
-    )
+    raw = norms.batch_norms(state.gen, latents, cfg.norm_kind)
+    batch = importance.LatentBatch(latents=latents, norms=raw * state.out_half)
     try:
         train_set = importance.build_flow_dataset(batch, cfg.augment_N, state.model_rng)
     except DegenerateBatchError:
-        log.warning(
-            "batch %d has all-zero Jacobian norms; refresh skipped", completed
-        )
+        log.warning("batch %d has all-zero Jacobian norms; refresh skipped",
+                    state.iteration - 1)
         return state
     state.flow = flows.build_flow(
         cfg.flow_kind,
@@ -435,15 +414,9 @@ def train(config: TrainConfig, dataset: Dataset, metrics_sink=None,
 
     while state.iteration <= config.max_iters:
         i = state.iteration
-        d_loss, g_loss = adversarial_step(state, draw_real_batch(state, dataset))
+        d_loss, g_loss, latents = adversarial_step(state, draw_real_batch(state, dataset))
         if config.mode == "fis" and i > 0 and i % config.refresh_t == 0:
-            flow_refresh(state, clock=clock)
+            flow_refresh(state, latents, clock=clock)
         if i % eval_options.interval == 0:
             emit(i, d_loss, g_loss)
-    return RunSummary(
-        rows=rows,
-        iterations=state.iteration - 1,
-        refresh_count=state.refresh_count,
-        refresh_ms_total=state.refresh_ms_total,
-        state=state,
-    )
+    return RunSummary(rows=rows, state=state)

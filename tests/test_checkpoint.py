@@ -116,7 +116,8 @@ def test_resume_with_changed_config_writes_no_row(tmp_path):
     # max_iters is the one field a resume may change; 8 runs nothing
     resumed_state, _ = checkpoint.load_checkpoint(path, ds)
     assert train.train(cfg(max_iters=8), ds, metrics_sink=rows.append, clock=fake_clock(),
-                       eval_options=eval_options, state=resumed_state).iterations == 8
+                       eval_options=eval_options,
+                       state=resumed_state).state.iteration - 1 == 8
     assert rows == []
     resumed_state, _ = checkpoint.load_checkpoint(path, ds)
     second = train.train(cfg(max_iters=12), ds, clock=fake_clock(),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fisgan import checkpoint, cli, data, train
+from fisgan import checkpoint, cli, data, flows, train
+from fisgan.errors import NumericError
 
 
 def write_config(tmp_path, **over):
@@ -262,6 +264,39 @@ def test_ablate_jobs_below_one_exits_2(tmp_path, capsys, jobs):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("values", ["frobenius,frobenius", "nuclear,frobenius,nuclear"])
+def test_ablate_repeated_values_exit_2(tmp_path, capsys, values):
+    cfg = write_config(tmp_path)
+    assert cli.main(["ablate", "--config", str(cfg), "--axis", "norm",
+                     "--values", values]) == 2
+    assert "repeats" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ablate_failing_variant_keeps_partial_rows(tmp_path, capsys, monkeypatch, jobs):
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched fit reaches pool workers only when they fork")
+    fit = flows.fit
+
+    def maf_diverges(flow, *args, **kwargs):
+        if flow.kind == "maf":
+            raise NumericError("non-finite flow loss in epoch 0")
+        return fit(flow, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "fit", maf_diverges)
+    cfg = write_config(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["ablate", "--config", str(cfg), "--axis", "flow",
+                     "--values", "maf,realnvp", "--jobs", jobs]) == 1
+    assert "(2 runs, 1 failures)" in capsys.readouterr().out
+    extras, rows = data.read_metrics_csv(tmp_path / "runs" / "ablate_flow.csv",
+                                         extra_columns=("variant",))
+    # maf fails at its first refresh (batch 5), after its batch-0 row
+    assert [(e["variant"], r.iteration) for e, r in zip(extras, rows)] == [
+        ("maf", 0), ("realnvp", 0), ("realnvp", 5), ("realnvp", 10)]
+
+
 def test_ablate_bad_value(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["ablate", "--config", str(cfg), "--axis", "flow",
@@ -474,3 +509,17 @@ def test_cli_resume_summary_describes_whole_run(tmp_path):
     assert summary["rows"] == 3
     assert summary["final_proxy_fid"] == rows[-1].proxy_fid
     assert summary["iterations"] == 25
+
+
+def test_cli_resume_closing_line_reads_the_csv(tmp_path, capsys):
+    cfg = write_config(tmp_path, **{"train.max_iters": 20, "eval": {"interval": 10,
+                                                                    "samples": 64}})
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "runs" / "t0"
+    capsys.readouterr()
+    # the resume emits no row of its own; the line names the run's last one
+    assert cli.main(["train", "--config", str(cfg), "--max-iters", "25",
+                     "--resume", str(run_dir / "final.ckpt")]) == 0
+    _, rows = data.read_metrics_csv(run_dir / "metrics.csv")
+    assert (f"25 iterations, proxy_fid {rows[-1].proxy_fid:.6g}, "
+            in capsys.readouterr().out)

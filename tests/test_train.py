@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fisgan import data, flows, nn, train
-from fisgan.errors import ConfigError, TrainError
+from fisgan.errors import ConfigError
 
 
 def ring_dataset(count=512, seed=0):
@@ -43,7 +43,7 @@ def fake_clock():
 def test_warm_start_counter_and_no_flow():
     ds = ring_dataset()
     state = train.init_state(small_config(), ds)
-    d_loss, g_loss = train.adversarial_step(state, train.draw_real_batch(state, ds))
+    d_loss, g_loss, _ = train.adversarial_step(state, train.draw_real_batch(state, ds))
     assert state.iteration == 1
     assert state.flow is None
     assert math.isfinite(d_loss) and math.isfinite(g_loss)
@@ -118,7 +118,7 @@ def test_discriminator_learns_separable_data():
     train.adversarial_step(state, train.draw_real_batch(state, ds))
     d_loss = None
     for _ in range(500):
-        d_loss, _ = train.adversarial_step(state, train.draw_real_batch(state, ds))
+        d_loss, _, _ = train.adversarial_step(state, train.draw_real_batch(state, ds))
         if d_loss < 0.1:
             break
     assert d_loss < 0.1
@@ -132,7 +132,7 @@ def test_zero_learning_rates_keep_parameters():
     state.adam_d.lr = 0.0
     gen_before = [p.copy() for p in state.gen.parameters()]
     disc_before = [p.copy() for p in state.disc.parameters()]
-    d_loss, g_loss = train.adversarial_step(state, train.draw_real_batch(state, ds))
+    d_loss, g_loss, _ = train.adversarial_step(state, train.draw_real_batch(state, ds))
     assert math.isfinite(d_loss) and math.isfinite(g_loss)
     assert all(np.array_equal(a, b) for a, b in zip(gen_before, state.gen.parameters()))
     assert all(np.array_equal(a, b) for a, b in zip(disc_before, state.disc.parameters()))
@@ -146,7 +146,9 @@ def test_steps_deterministic():
         train.adversarial_step(state, train.draw_real_batch(state, ds))
         out = []
         for _ in range(2):
-            out.append(train.adversarial_step(state, train.draw_real_batch(state, ds)))
+            d_loss, g_loss, latents = train.adversarial_step(
+                state, train.draw_real_batch(state, ds))
+            out.append((d_loss, g_loss, latents.tolist()))
         return out
 
     assert run() == run()
@@ -176,7 +178,7 @@ def test_refresh_schedule_exact():
     cfg = small_config(refresh_t=10, max_iters=30, flow_epochs=1, augment_N=64)
     summary = train.train(cfg, ds, eval_options=train.EvalOptions(
         interval=10, samples=128), clock=fake_clock())
-    assert summary.refresh_count == 3
+    assert summary.state.refresh_count == 3
     assert summary.state.flow is not None
 
 
@@ -185,18 +187,32 @@ def test_no_refresh_in_baseline():
     cfg = small_config(mode="baseline", max_iters=20)
     summary = train.train(cfg, ds, eval_options=train.EvalOptions(
         interval=10, samples=128), clock=fake_clock())
-    assert summary.refresh_count == 0
+    assert summary.state.refresh_count == 0
     assert summary.state.flow is None
 
 
-def test_unscheduled_refresh_rejected():
+def test_refresh_gets_the_latents_of_its_batch(monkeypatch):
     ds = ring_dataset()
-    state = train.init_state(small_config(refresh_t=10), ds)
-    train.adversarial_step(state, train.draw_real_batch(state, ds))
-    train.adversarial_step(state, train.draw_real_batch(state, ds))
-    # completed batch 1, refresh_t 10: not scheduled
-    with pytest.raises(TrainError):
-        train.flow_refresh(state)
+    steps, refreshes = [], []
+    step, refresh = train.adversarial_step, train.flow_refresh
+
+    def spy_step(state, real_batch):
+        out = step(state, real_batch)
+        steps.append(out[2])
+        return out
+
+    def spy_refresh(state, latents, clock):
+        refreshes.append((state.iteration - 1, latents))
+        return refresh(state, latents, clock=clock)
+
+    monkeypatch.setattr(train, "adversarial_step", spy_step)
+    monkeypatch.setattr(train, "flow_refresh", spy_refresh)
+    summary = train.train(small_config(refresh_t=4, max_iters=9), ds,
+                          clock=fake_clock(),
+                          eval_options=train.EvalOptions(interval=10, samples=128))
+    assert [i for i, _ in refreshes] == [4, 8]
+    assert all(latents is steps[i] for i, latents in refreshes)
+    assert summary.state.refresh_count == 2
 
 
 def test_degenerate_norms_skip_refresh(caplog):
@@ -204,12 +220,12 @@ def test_degenerate_norms_skip_refresh(caplog):
     cfg = small_config(refresh_t=1, latent_dim=4)
     state = train.init_state(cfg, ds)
     train.adversarial_step(state, train.draw_real_batch(state, ds))
-    train.adversarial_step(state, train.draw_real_batch(state, ds))
+    _, _, latents = train.adversarial_step(state, train.draw_real_batch(state, ds))
     # dead generator: all-zero weights means all-zero Jacobian norms
     for p in state.gen.parameters():
         p[:] = 0.0
     with caplog.at_level("WARNING"):
-        train.flow_refresh(state)
+        train.flow_refresh(state, latents)
     assert state.flow is None
     assert state.refresh_count == 0
     assert any("refresh skipped" in rec.message for rec in caplog.records)
@@ -232,9 +248,7 @@ def test_refresh_targets_heavy_norm_cluster():
     ])
     heavy = np.tile(np.array([5.0, 0.0]), (16, 1))
     light = np.tile(np.array([-5.0, 0.0]), (16, 1))
-    state.last_latents = np.vstack([heavy, light])
-    state.iteration = 11  # just completed batch 10
-    train.flow_refresh(state)
+    train.flow_refresh(state, np.vstack([heavy, light]))
     assert state.refresh_count == 1
     draws = train.sample_noise(state, 10_000, state.model_rng)
     d_heavy = np.linalg.norm(draws - np.array([5.0, 0.0]), axis=1)

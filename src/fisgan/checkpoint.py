@@ -11,28 +11,51 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
 from . import data, flows
 from .config import experiment_from_dict
 from .errors import ConfigError, FormatError, ShapeError
-from .train import TrainConfig, TrainState, init_state, is_json_type, parse_fields
+from .train import (TrainConfig, TrainState, differing_fields, init_state, is_json_type,
+                    parse_fields)
 
 MAGIC = b"FISG"
 # 3: the flow's layout is rebuilt from the config; the header keeps only
 # the realnvp permutations, which build_flow draws at random
 VERSION = 3
-# every header carries exactly these keys
-HEADER_KEYS = (
-    "config", "experiment", "iteration", "refresh_count", "refresh_ms_total",
-    "model_rng", "data_rng", "adam_g_step", "adam_d_step", "out_mid",
-    "out_half", "flow",
-)
-_COUNTER_KEYS = ("iteration", "refresh_count", "adam_g_step", "adam_d_step")
-_NUMBER_KEYS = ("refresh_ms_total", "out_mid", "out_half")
+
+
+def _is_pcg64_state(value):
+    try:
+        np.random.PCG64(0).state = value
+    except (TypeError, ValueError, KeyError, OverflowError):
+        return False
+    return True
+
+
+_KIND_CHECKS = {
+    "count": lambda value: is_json_type(value, "int") and value >= 0,
+    "number": lambda value: is_json_type(value, "float"),
+    "PCG64 state": _is_pcg64_state,
+}
+# header scalar -> (its kind, its attribute path in TrainState), for save, check and load
+_SCALARS = {
+    "iteration": ("count", "iteration"),
+    "refresh_count": ("count", "refresh_count"),
+    "refresh_ms_total": ("number", "refresh_ms_total"),
+    "model_rng": ("PCG64 state", "model_rng.bit_generator.state"),
+    "data_rng": ("PCG64 state", "data_rng.bit_generator.state"),
+    "adam_g_step": ("count", "adam_g.step"),
+    "adam_d_step": ("count", "adam_d.step"),
+    "out_mid": ("number", "out_mid"),
+    "out_half": ("number", "out_half"),
+}
+# every header carries exactly these keys, in this order
+HEADER_KEYS = ("config", "experiment", *_SCALARS, "flow")
 
 
 def _tensors(state: TrainState):
@@ -60,15 +83,7 @@ def save_checkpoint(path, state: TrainState, experiment=None):
     header = {
         "config": asdict(state.config),
         "experiment": experiment,
-        "iteration": state.iteration,
-        "refresh_count": state.refresh_count,
-        "refresh_ms_total": state.refresh_ms_total,
-        "model_rng": state.model_rng.bit_generator.state,
-        "data_rng": state.data_rng.bit_generator.state,
-        "adam_g_step": state.adam_g.step,
-        "adam_d_step": state.adam_d.step,
-        "out_mid": state.out_mid,
-        "out_half": state.out_half,
+        **{key: operator.attrgetter(where)(state) for key, (_, where) in _SCALARS.items()},
         "flow": None,
     }
     if state.flow is not None:
@@ -128,36 +143,23 @@ def _check_header_values(header, path):
     """FormatError unless every header value has the type loading relies on;
     the flow's permutations themselves are checked when it is rebuilt."""
     try:
-        config = parse_fields(TrainConfig, header["config"], "config").validate()
+        config = parse_fields(TrainConfig, header["config"], "config")
         experiment = None
         if header["experiment"] is not None:
             experiment = experiment_from_dict(header["experiment"])
     except ConfigError as err:
         raise FormatError(f"{path}: bad checkpoint header: {err}") from err
-    if experiment is not None and experiment.train != config:
-        changed = [f.name for f in fields(TrainConfig)
-                   if getattr(experiment.train, f.name) != getattr(config, f.name)]
+    changed = [] if experiment is None else differing_fields(experiment.train, config)
+    if changed:
         raise FormatError(f"{path}: checkpoint experiment.train differs from its "
                           f"config in {', '.join(changed)}")
-    for key in _COUNTER_KEYS:
-        value = header[key]
-        if not (is_json_type(value, "int") and value >= 0):
-            raise FormatError(f"{path}: checkpoint {key!r} is not a count: {value!r}")
-    for key in _NUMBER_KEYS:
-        if not is_json_type(header[key], "float"):
-            raise FormatError(f"{path}: checkpoint {key!r} is not a number: "
-                              f"{header[key]!r}")
-    for key in ("model_rng", "data_rng"):
-        try:
-            np.random.PCG64(0).state = header[key]
-        except (TypeError, ValueError, KeyError, OverflowError) as err:
-            raise FormatError(f"{path}: checkpoint {key!r} is not a PCG64 state: "
-                              f"{err!r}") from err
-    if header["flow"] is not None:
-        if not isinstance(header["flow"], list):
-            raise FormatError(f"{path}: checkpoint flow is not a list of permutations")
-        if config.mode != "fis":
-            raise FormatError(f"{path}: checkpoint stores a flow for a {config.mode!r} run")
+    for key, (kind, _) in _SCALARS.items():
+        if not _KIND_CHECKS[kind](header[key]):
+            raise FormatError(f"{path}: checkpoint {key!r} is not a {kind}: {header[key]!r}")
+    if not is_json_type(header["flow"], "list | None"):
+        raise FormatError(f"{path}: checkpoint flow is not a list of permutations")
+    if header["flow"] is not None and config.mode != "fis":
+        raise FormatError(f"{path}: checkpoint stores a flow for a {config.mode!r} run")
 
 
 def read_header(blob, path):
@@ -244,13 +246,7 @@ def load_checkpoint(path, dataset, blob=None):
             if isinstance(layer, flows.AutoregressiveLayer) for dense in layer.net.layers):
         raise FormatError(f"{path}: autoregressive flow weights are non-zero "
                           "outside their masks")
-    state.adam_g.step = header["adam_g_step"]
-    state.adam_d.step = header["adam_d_step"]
-    state.model_rng.bit_generator.state = header["model_rng"]
-    state.data_rng.bit_generator.state = header["data_rng"]
-    state.iteration = header["iteration"]
-    state.refresh_count = header["refresh_count"]
-    state.refresh_ms_total = header["refresh_ms_total"]
-    state.out_mid = header["out_mid"]
-    state.out_half = header["out_half"]
+    for key, (_, where) in _SCALARS.items():
+        owner, _, name = where.rpartition(".")
+        setattr(operator.attrgetter(owner)(state) if owner else state, name, header[key])
     return state, header.get("experiment")

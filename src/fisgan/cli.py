@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import os
@@ -113,10 +114,10 @@ def cmd_train(args):
 
 
 def _run_ablation_variant(sub_cfg):
-    """Run one ablation variant; its FisGanError, or None on success."""
+    """Run one ablation variant; the FisGanError or OSError it failed with, or None."""
     try:
         run_experiment(sub_cfg)
-    except FisGanError as err:
+    except (FisGanError, OSError) as err:
         return err
     return None
 
@@ -144,10 +145,7 @@ def cmd_ablate(args):
     subs = []
     for value in values:
         sub = copy.deepcopy(cfg)
-        if args.axis == "norm":
-            sub.train.norm_kind = value
-        else:
-            sub.train.flow_kind = value
+        sub.train = dataclasses.replace(cfg.train, **{f"{args.axis}_kind": value})
         sub.run_name = f"{base_name}-{args.axis}-{value}"
         subs.append(sub)
     if args.jobs > 1:
@@ -183,14 +181,15 @@ def cmd_eval(args):
         raise ConfigError("need at least 2 samples to fit moments")
     with open(args.checkpoint, "rb") as fh:
         blob = fh.read()
+    header, _ = checkpoint.read_header(blob, args.checkpoint)
     if args.config:
         probe_cfg = config_mod.load_experiment(args.config)
-    else:
-        # the header's experiment echo names the dataset to rebuild
-        header, _ = checkpoint.read_header(blob, args.checkpoint)
-        if not header["experiment"]:
-            raise ConfigError("checkpoint carries no experiment echo; pass --config")
+    elif header["experiment"]:
         probe_cfg = config_mod.experiment_from_dict(header["experiment"])
+    else:
+        raise ConfigError("checkpoint carries no experiment echo; pass --config")
+    # as in a resume, every train field is the checkpoint's; the experiment adds the rest
+    probe_cfg.train = train.TrainConfig(**header["config"])
     dataset = config_mod.build_dataset(probe_cfg)
     state, _ = checkpoint.load_checkpoint(args.checkpoint, dataset, blob=blob)
     if n < 32:
@@ -211,9 +210,10 @@ def cmd_eval(args):
 
 def _series_from_csv(path):
     """One series per (mode, variant, seed), in first-appearance order."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    extra = ("variant",) if header[:1] == ["variant"] else ()
+    # read as bytes: read_metrics_csv reports a file that is not UTF-8
+    with open(path, "rb") as fh:
+        header = fh.readline().strip().split(b",")
+    extra = ("variant",) if header[:1] == [b"variant"] else ()
     extras, rows = data.read_metrics_csv(path, extra_columns=extra)
     groups = {}
     order = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError
-from .train import EvalOptions, TrainConfig, is_json_type, parse_fields
+from .train import EvalOptions, TrainConfig, parse_fields
 
 _DATASET_STREAM = 4
 
@@ -27,40 +27,50 @@ PRESETS = {
     "slow-refresh": {"refresh_t": 50, "flow_epochs": 50},
 }
 
-_DATASET_KEYS_SYNTH = {"kind", "spec"}
-_DATASET_KEYS_IDX = {"kind", "images", "labels", "crop_border", "downsample"}
-_TOP_KEYS = {"train", "dataset", "eval", "out_dir", "run_name"}
+
+@dataclasses.dataclass(frozen=True)
+class SyntheticSource:
+    kind: str
+    spec: data.SyntheticSpec
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+@dataclasses.dataclass(frozen=True)
+class IdxSource:
+    kind: str
+    images: str
+    labels: str | None = None
+    crop_border: int = 0
+    downsample: int = 0
+
+    def __post_init__(self):
+        if min(self.crop_border, self.downsample) < 0:
+            raise ConfigError("dataset crop_border and downsample must be non-negative")
 
 
-@dataclasses.dataclass
+def dataset_source(section):
+    """The dataset section parsed by its kind; ConfigError if it is not one."""
+    kind = section.get("kind")
+    if kind not in ("synthetic", "idx"):
+        raise ConfigError(f"dataset kind must be 'synthetic' or 'idx', not {kind!r}")
+    return parse_fields(IdxSource if kind == "idx" else SyntheticSource, section, "dataset")
+
+
+@dataclasses.dataclass(kw_only=True)
 class ExperimentConfig:
-    train: TrainConfig
+    train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
+    # kept as written: the echo and the run-name hash read it
     dataset: dict
-    eval: EvalOptions
+    eval: EvalOptions = dataclasses.field(default_factory=EvalOptions)
     out_dir: str = "runs"
     run_name: str | None = None
-    base_dir: str = "."
+    # the directory relative dataset paths start from; not part of the file
+    base_dir: str = dataclasses.field(default=".", init=False)
 
-    def validate(self):
-        self.train.validate()
-        self.eval.validate()
-        _validate_dataset(self.dataset)
-        return self
+    def __post_init__(self):
+        dataset_source(self.dataset)
 
     def effective_dict(self):
-        return {
-            "train": dataclasses.asdict(self.train),
-            "dataset": self.dataset,
-            "eval": dataclasses.asdict(self.eval),
-            "out_dir": self.out_dir,
-            "run_name": self.run_name,
-        }
+        return {k: v for k, v in dataclasses.asdict(self).items() if k != "base_dir"}
 
     def config_hash(self):
         blob = json.dumps(self.effective_dict(), sort_keys=True).encode()
@@ -70,34 +80,15 @@ class ExperimentConfig:
         return self.run_name or self.config_hash()
 
 
-def _validate_dataset(ds):
-    if not isinstance(ds, dict) or "kind" not in ds:
-        raise ConfigError("dataset section needs a 'kind'")
-    if ds["kind"] == "synthetic":
-        _reject_unknown(ds, _DATASET_KEYS_SYNTH, "dataset")
-        parse_fields(data.SyntheticSpec, ds.get("spec"), "dataset.spec")
-    elif ds["kind"] == "idx":
-        _reject_unknown(ds, _DATASET_KEYS_IDX, "dataset")
-        if not is_json_type(ds.get("images"), "str"):
-            raise ConfigError("idx dataset needs an 'images' path string")
-        if ds.get("labels") is not None and not is_json_type(ds["labels"], "str"):
-            raise ConfigError("dataset.labels must be a path")
-        for key in ("crop_border", "downsample"):
-            value = ds.get(key, 0)
-            if not (is_json_type(value, "int") and value >= 0):
-                raise ConfigError(f"dataset.{key} must be a non-negative int, "
-                                  f"not {value!r}")
-    else:
-        raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
-
-
 def load_experiment(path):
     """Parse and validate an experiment file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err}")
     return experiment_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -105,24 +96,9 @@ def load_experiment(path):
 
 def experiment_from_dict(raw, base_dir="."):
     """Parse and validate an experiment file's content or a checkpoint's echo."""
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "experiment")
-    if "dataset" not in raw:
-        raise ConfigError("experiment file needs a 'dataset' section")
-    if not is_json_type(raw.get("out_dir", "runs"), "str"):
-        raise ConfigError(f"out_dir must be a string, not {raw['out_dir']!r}")
-    if raw.get("run_name") is not None and not is_json_type(raw["run_name"], "str"):
-        raise ConfigError(f"run_name must be a string, not {raw['run_name']!r}")
-    cfg = ExperimentConfig(
-        train=parse_fields(TrainConfig, raw.get("train", {}), "train"),
-        dataset=raw["dataset"],
-        eval=parse_fields(EvalOptions, raw.get("eval", {}), "eval"),
-        out_dir=raw.get("out_dir", "runs"),
-        run_name=raw.get("run_name"),
-        base_dir=base_dir,
-    )
-    return cfg.validate()
+    cfg = parse_fields(ExperimentConfig, raw, "experiment")
+    cfg.base_dir = base_dir
+    return cfg
 
 
 def apply_preset(cfg: ExperimentConfig, preset):
@@ -149,20 +125,18 @@ def apply_overrides(cfg: ExperimentConfig, mode=None, seed=None, max_iters=None,
         cfg.out_dir = out
     if run_name is not None:
         cfg.run_name = run_name
-    return cfg.validate()
+    return cfg
 
 
 def build_dataset(cfg: ExperimentConfig) -> data.Dataset:
     """Materialize the configured dataset (deterministic per seed)."""
-    ds = cfg.dataset
-    if ds["kind"] == "synthetic":
-        spec = data.SyntheticSpec(**ds["spec"])
+    source = dataset_source(cfg.dataset)
+    if isinstance(source, SyntheticSource):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.train.seed, _DATASET_STREAM])
         )
-        return data.make_synthetic(spec, rng)
-    images = ds["images"]
-    labels = ds.get("labels")
+        return data.make_synthetic(source.spec, rng)
+    images, labels = source.images, source.labels
     if not os.path.isabs(images):
         images = os.path.join(cfg.base_dir, images)
     if labels is not None and not os.path.isabs(labels):
@@ -172,8 +146,8 @@ def build_dataset(cfg: ExperimentConfig) -> data.Dataset:
     if labels is not None and not os.path.exists(labels):
         raise ConfigError(f"dataset.labels path does not exist: {labels}")
     loaded = data.load_idx(images, labels)
-    if ds.get("crop_border"):
-        loaded = data.crop_border(loaded, ds["crop_border"])
-    if ds.get("downsample"):
-        loaded = data.downsample(loaded, ds["downsample"])
+    if source.crop_border:
+        loaded = data.crop_border(loaded, source.crop_border)
+    if source.downsample:
+        loaded = data.downsample(loaded, source.downsample)
     return loaded

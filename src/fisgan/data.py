@@ -76,8 +76,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in ("ring", "gaussian_grid"):
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        if self.sigma <= 0 or self.count < 1 or self.centers < 1:
-            raise ValueError("sigma must be positive, count and centers at least 1")
+        if self.sigma <= 0 or min(self.count, self.centers, self.grid) < 1:
+            raise ValueError("sigma must be positive, count, centers and grid at least 1")
 
 
 def _read_be32(blob, offset, path):
@@ -386,36 +386,40 @@ def read_metrics_csv(path, extra_columns=()):
     line and column.
     """
     expected = list(extra_columns) + CSV_HEADER
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected a CSV header")
-        if header != expected:
-            for got, want in zip(header + [""] * len(expected), expected):
-                if got != want:
-                    raise FormatError(
-                        f"{path}: expected column {want!r}, found {got!r}"
-                    )
-        extras = []
-        rows = []
-        for record in reader:
-            if len(record) != len(expected):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text: {err}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty file, expected a CSV header")
+    if header != expected:
+        for got, want in zip(header + [""] * len(expected), expected):
+            if got != want:
                 raise FormatError(
-                    f"{path}: line {reader.line_num}: row has {len(record)} fields")
-            cut = len(extra_columns)
-            extras.append(dict(zip(extra_columns, record[:cut])))
-            cells = dict(zip(CSV_HEADER, record[cut:]))
-            for column, kind in _CSV_NUMBERS.items():
-                try:
-                    value = kind(cells[column])
-                    if not math.isfinite(value):  # an int past float range overflows
-                        raise ValueError
-                except (ValueError, OverflowError):
-                    raise FormatError(
-                        f"{path}: line {reader.line_num}, column {column!r}: "
-                        f"expected a finite number, found {cells[column]!r}") from None
-                cells[column] = value
-            rows.append(MetricRow(**cells))
+                    f"{path}: expected column {want!r}, found {got!r}"
+                )
+    extras = []
+    rows = []
+    for record in reader:
+        if len(record) != len(expected):
+            raise FormatError(
+                f"{path}: line {reader.line_num}: row has {len(record)} fields")
+        cut = len(extra_columns)
+        extras.append(dict(zip(extra_columns, record[:cut])))
+        cells = dict(zip(CSV_HEADER, record[cut:]))
+        for column, kind in _CSV_NUMBERS.items():
+            try:
+                value = kind(cells[column])
+                if not math.isfinite(value):  # an int past float range overflows
+                    raise ValueError
+            except (ValueError, OverflowError):
+                raise FormatError(
+                    f"{path}: line {reader.line_num}, column {column!r}: "
+                    f"expected a finite number, found {cells[column]!r}") from None
+            cells[column] = value
+        rows.append(MetricRow(**cells))
     return extras, rows

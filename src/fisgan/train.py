@@ -24,10 +24,13 @@ touch the training streams.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import sys
 import time
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -47,7 +50,7 @@ _DATA_STREAM = 2
 _EVAL_STREAM = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Full experiment description; every field has a working default."""
 
@@ -68,7 +71,7 @@ class TrainConfig:
     flow_depth: int = 6
     flow_hidden: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         if self.latent_dim < 2:
             raise ConfigError("latent_dim must be at least 2")
         if self.refresh_t < 1:
@@ -89,10 +92,9 @@ class TrainConfig:
             raise ConfigError("max_iters and flow_epochs must be non-negative")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalOptions:
     interval: int = 100
     samples: int = 2048
@@ -102,7 +104,7 @@ class EvalOptions:
     grid_count: int = 64
     grid_cols: int = 8
 
-    def validate(self):
+    def __post_init__(self):
         if self.interval < 1 or self.samples < 2:
             raise ConfigError("eval interval must be >= 1 and samples >= 2")
         if min(self.pca_k, self.grid_count, self.grid_cols) < 1 or self.ridge < 0:
@@ -110,47 +112,72 @@ class EvalOptions:
                               "ridge non-negative")
         if self.extractor not in metrics.EXTRACTOR_KINDS:
             raise ConfigError(f"unknown extractor kind {self.extractor!r}")
-        return self
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict, "list": list}
 
 
 def is_json_type(value, kind):
-    """True when a JSON value fits a field annotated kind (a bool never does)."""
-    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+    """True when a JSON value fits a field annotated kind, such as "int" or
+    "str | None": a bool is never a number, and a float field takes only
+    finite values (json.load reads NaN, Infinity and ints of any size)."""
+    if value is None and kind.endswith(" | None"):
+        return True
+    kind = kind.removesuffix(" | None")
+    if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool):
+        return False
+    return kind != "float" or abs(value) <= sys.float_info.max
+
+
+@functools.cache
+def _field_kinds(cls):
+    """name -> JSON kind, or the dataclass it holds, for each field cls
+    takes on construction."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] if is_dataclass(hints[f.name]) else f.type
+            for f in fields(cls) if f.init}
 
 
 def parse_fields(cls, section, where):
     """cls built from a JSON object, for experiment files and checkpoint
-    headers alike: ConfigError on an unknown name, a wrong JSON type, a
-    missing field that has no default, or a value cls rejects."""
+    headers alike; a field that holds a dataclass is parsed from its own
+    object.  ConfigError on an unknown name, a wrong JSON type, a missing
+    field that has no default, or a value cls rejects."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    kinds = {f.name: f.type for f in fields(cls)}
+    kinds = _field_kinds(cls)
+    values = {}
     for name, value in section.items():
         if name not in kinds:
             raise ConfigError(f"unknown key {name!r} in {where}")
-        if not is_json_type(value, kinds[name]):
-            raise ConfigError(f"{where}.{name} must be {kinds[name]}, not {value!r}")
+        kind = kinds[name]
+        if not isinstance(kind, str):
+            value = parse_fields(kind, value, f"{where}.{name}")
+        elif not is_json_type(value, kind):
+            raise ConfigError(f"{where}.{name} must be {kind}, not {value!r}")
+        values[name] = value
     try:
-        return cls(**section)
+        return cls(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
+
+
+def differing_fields(a, b):
+    """Names of the fields in which dataclasses a and b hold different values."""
+    return [f.name for f in fields(a) if getattr(a, f.name) != getattr(b, f.name)]
 
 
 def resumed_config(config: TrainConfig, saved: TrainState) -> TrainConfig:
     """The saved state's config run on to config.max_iters; ConfigError if
     config differs from it in any other field, or if max_iters is below the
     last batch the state completed (an equal one runs nothing)."""
-    changed = [f.name for f in fields(TrainConfig) if f.name != "max_iters"
-               and getattr(config, f.name) != getattr(saved.config, f.name)]
+    changed = [n for n in differing_fields(config, saved.config) if n != "max_iters"]
     if changed:
         raise ConfigError(f"resume changes the checkpoint's {', '.join(changed)}")
     if config.max_iters < saved.iteration - 1:
         raise ConfigError(f"resume to max_iters {config.max_iters} is below the "
                           f"checkpoint's last completed batch {saved.iteration - 1}")
-    return replace(saved.config, max_iters=config.max_iters).validate()
+    return replace(saved.config, max_iters=config.max_iters)
 
 
 @dataclass
@@ -177,7 +204,6 @@ class RunSummary:
 
 
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
-    config.validate()
     lo, hi = dataset.pixel_range
     model_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _MODEL_STREAM])
@@ -337,7 +363,6 @@ class EvalContext:
 def build_eval_context(config: TrainConfig, dataset: Dataset,
                        options: EvalOptions) -> EvalContext:
     """Fit the frozen feature extractor and pick the fixed real eval set."""
-    options.validate()
     rng = eval_rng(config.seed, 0)
     extractor = metrics.fit_extractor(
         options.extractor,
@@ -381,7 +406,7 @@ def train(config: TrainConfig, dataset: Dataset, metrics_sink=None,
     """
     if dataset.rows == 0:
         raise ConfigError("dataset is empty")
-    eval_options = (eval_options or EvalOptions()).validate()
+    eval_options = eval_options or EvalOptions()
     clock = clock or time.perf_counter
     if state is None:
         state = init_state(config, dataset)

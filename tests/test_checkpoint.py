@@ -367,6 +367,9 @@ HEADER_EDITS = {
     "experiment_grid_count_zero": _set("experiment", "eval", "grid_count", value=0),
     "experiment_ridge_negative": _set("experiment", "eval", "ridge", value=-1.0),
     "experiment_centers_zero": _set("experiment", "dataset", "spec", "centers", value=0),
+    "experiment_grid_zero": _set("experiment", "dataset", "spec", "grid", value=0),
+    "out_half_nan": _set("out_half", value=float("nan")),
+    "refresh_ms_total_infinite": _set("refresh_ms_total", value=float("inf")),
 }
 
 

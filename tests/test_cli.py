@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 
@@ -100,7 +101,8 @@ _NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=4)
                  | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 _WRONG_VALUES = {
     "int": _NOT_A_NUMBER | st.floats(allow_nan=False, allow_infinity=False),
-    "float": _NOT_A_NUMBER,
+    # json.load reads NaN, Infinity and ints past float range
+    "float": _NOT_A_NUMBER | st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
     "str": (st.none() | st.booleans() | st.integers()
             | st.floats(allow_nan=False, allow_infinity=False)
             | st.lists(st.text(max_size=2), max_size=2)),
@@ -156,10 +158,17 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, section, field, pick
     ([], {"eval.ridge": -1.0}),
     ([], {"dataset": {"kind": "synthetic",
                       "spec": {"kind": "ring", "count": 256, "centers": 0}}}),
+    ([], {"train.lr_g": math.nan}),
+    ([], {"eval.ridge": math.inf}),
+    ([], {"dataset": {"kind": "synthetic",
+                      "spec": {"kind": "ring", "count": 256, "sigma": math.inf}}}),
+    ([], {"dataset": {"kind": "synthetic",
+                      "spec": {"kind": "gaussian_grid", "count": 256, "grid": 0}}}),
 ], ids=["seed_negative", "max_iters_float", "spec_sigma_negative", "spec_count_missing",
         "run_name_int", "out_dir_list", "flow_batch_zero", "flow_hidden_zero",
         "flow_depth_zero", "flow_epochs_negative", "pca_k_zero", "grid_cols_zero",
-        "grid_count_negative", "ridge_negative", "spec_centers_zero"])
+        "grid_count_negative", "ridge_negative", "spec_centers_zero", "lr_g_nan",
+        "ridge_infinite", "spec_sigma_infinite", "spec_grid_zero"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, flags, over):
     cfg = write_config(tmp_path, **over)
     assert cli.main(["train", "--config", str(cfg), *flags]) == 2
@@ -177,6 +186,14 @@ def test_invalid_idx_dataset_value_exits_2(tmp_path, capsys, field, value):
     dataset = {"kind": "idx", "images": str(images), field: value}
     cfg = write_config(tmp_path, dataset=dataset)
     assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert cli.main(["train", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (tmp_path / "runs").exists()
 
@@ -297,6 +314,22 @@ def test_ablate_failing_variant_keeps_partial_rows(tmp_path, capsys, monkeypatch
         ("maf", 0), ("realnvp", 0), ("realnvp", 5), ("realnvp", 10)]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ablate_variant_os_error_keeps_other_rows(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path)
+    (tmp_path / "runs").mkdir()
+    # the nuclear run's directory cannot be made: a plain file holds its name
+    (tmp_path / "runs" / "t0-norm-nuclear").write_text("")
+    capsys.readouterr()
+    assert cli.main(["ablate", "--config", str(cfg), "--axis", "norm",
+                     "--values", "frobenius,nuclear", "--jobs", jobs]) == 1
+    assert "(1 runs, 1 failures)" in capsys.readouterr().out
+    extras, rows = data.read_metrics_csv(tmp_path / "runs" / "ablate_norm.csv",
+                                         extra_columns=("variant",))
+    assert [(e["variant"], r.iteration) for e, r in zip(extras, rows)] == [
+        ("frobenius", 0), ("frobenius", 5), ("frobenius", 10)]
+
+
 def test_ablate_bad_value(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["ablate", "--config", str(cfg), "--axis", "flow",
@@ -314,6 +347,20 @@ def test_eval_checkpoint_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "proxy_fid" in first
+
+
+def test_eval_config_keeps_the_run_seed(tmp_path, capsys):
+    # the file says seed 0, the run was trained at seed 3: the dataset that
+    # --config rebuilds must be the run's, drawn at seed 3
+    cfg = write_config(tmp_path, **{"train.seed": 0})
+    assert cli.main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    ckpt = str(tmp_path / "runs" / "t0" / "final.ckpt")
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", ckpt, "--samples", "64"]) == 0
+    from_echo = capsys.readouterr().out
+    assert cli.main(["eval", "--checkpoint", ckpt, "--samples", "64",
+                     "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == from_echo
 
 
 def test_eval_corrupt_magic(tmp_path, capsys):
@@ -393,6 +440,24 @@ def test_plot_rejects_non_numeric_cell(tmp_path, capsys, column, bad):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("format error:")
     assert str(path) in err[0] and "line 3" in err[0] and repr(column) in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [0, 2])
+def test_plot_rejects_non_utf8_csv(tmp_path, capsys, line):
+    rows = [
+        data.MetricRow(0, "fis", "realnvp", "frobenius", 1, 5.0, 1.0, 1.0, 1.0),
+        data.MetricRow(100, "fis", "realnvp", "frobenius", 1, 3.0, 0.9, 1.1, 2.0),
+    ]
+    path = tmp_path / "m.csv"
+    data.write_metrics_csv(rows, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line] = lines[line].replace(b"fis", b"f\xffs").replace(b"mode", b"m\xffde")
+    path.write_bytes(b"".join(lines))
+    out = tmp_path / "m.svg"
+    assert cli.main(["plot", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("format error:") and str(path) in err[0]
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -309,10 +310,13 @@ def test_empty_dataset_rejected():
 
 def test_invalid_config_rejected():
     with pytest.raises(ConfigError):
-        small_config(refresh_t=0).validate()
+        small_config(refresh_t=0)
     with pytest.raises(ConfigError):
-        small_config(lr_g=0.0).validate()
+        small_config(lr_g=0.0)
     with pytest.raises(ConfigError):
-        small_config(mode="other").validate()
+        small_config(mode="other")
     with pytest.raises(ConfigError):
-        small_config(seed=-1).validate()
+        small_config(seed=-1)
+    # replace builds a new config, so it checks the new value too
+    with pytest.raises(ConfigError):
+        dataclasses.replace(small_config(), refresh_t=0)

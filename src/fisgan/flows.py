@@ -11,8 +11,11 @@ Three layer families:
   orientation, so it samples in parallel and evaluates sequentially.  The
   sequential direction is one sweep over the degrees that computes each
   hidden unit of the net once, at the step after which its inputs are
-  final (a schedule read from the masks at construction); its reverse
-  pass gets all parameter gradients from a single net backward.
+  final.  A plan read from the masks at construction orders every layer's
+  units by that step, so the sweep runs on feature-major (width, n)
+  arrays: each step computes a contiguous block of units from a prefix of
+  the layer below.  Its reverse pass walks the same plan backwards and
+  gets all parameter gradients from a single net backward.
 * ``PermutationLayer``: fixed coordinate shuffle, zero log-det.
 
 Log-scales are passed through tanh and multiplied by ``SCALE_CLAMP``, which
@@ -31,6 +34,7 @@ plus the per-row gradient w.r.t. its own log-det contribution.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,30 +160,68 @@ def made_masks(degrees_in, hidden_sizes):
     return masks
 
 
-def _sweep_schedule(net, degree_order):
-    """Hidden units that become final at each step of a degree sweep.
+class SweepPlan(NamedTuple):
+    """Unit order and step blocks of a degree sweep; see _sweep_schedule."""
 
-    Step t sets input coordinate degree_order[t].  A hidden unit is final
-    once every input it reads through the masks is set: after the latest
-    step among those inputs, or at step -1 if it reads none.  Entry t + 1
-    of the result holds, per hidden layer, the units final after step t.
-    Raises ShapeError if net outputs i or d+i read a unit that is not final
+    orders: list  # orders[0]: inputs; orders[l + 1]: units of net layer l
+    spans: list  # spans[l][s] = [a, b, p, c] of net layer l at slot s
+
+
+def _sweep_schedule(net, degree_order):
+    """One plan for both directions of a degree sweep over a masked net.
+
+    Step t sets input coordinate degree_order[t]; after it, slot t + 1
+    begins (slot 0 is before any step).  A hidden unit is final in the slot
+    of the latest input it reads through the masks, or in slot 0 if it reads
+    none.  Net outputs i and d+i are computed in slot t, just before step t
+    sets coordinate i, and put in plan order as the pair (2t, 2t+1).
+
+    Ordering the units of every layer by slot (a stable argsort), and the
+    inputs by step, makes the units of one slot a contiguous block and those
+    final by it a prefix.  orders[0] is degree_order and orders[l + 1] the
+    plan order of net layer l's units.  spans[l][s] = [a, b, p, c] says that
+    units a..b-1 (plan order) of layer l belong to slot s and read only the
+    first p entries of layer l's input (plan order), and that the inputs of
+    slot s are read only by units c.. of layer l.  Raises ShapeError if a
+    layer has no mask or net outputs i or d+i read a unit that is not final
     before the step that sets coordinate i.
     """
     d = degree_order.shape[0]
-    input_step = np.empty(d, dtype=np.int64)
-    input_step[degree_order] = np.arange(d)
-    steps = []
-    step = input_step
+    input_slot = np.empty(d, dtype=np.int64)
+    input_slot[degree_order] = np.arange(1, d + 1)
+    slots = []
+    slot = input_slot
     for layer in net.layers:
         if layer.mask is None:
             raise ShapeError("every layer of an autoregressive net needs a mask")
-        step = np.where(layer.mask != 0, step, -1).max(axis=1)
-        steps.append(step)
-    output_step = steps.pop().reshape(2, d).max(axis=0)
-    if np.any(output_step >= input_step):
+        slot = np.where(layer.mask != 0, slot, 0).max(axis=1)
+        slots.append(slot)
+    output_slot = np.tile(input_slot - 1, 2)
+    if np.any(slots[-1] > output_slot):
         raise ShapeError("masked net outputs read inputs of equal or later degree")
-    return [tuple(np.flatnonzero(step == t) for step in steps) for t in range(-1, d)]
+    slots[-1] = output_slot
+    orders = [degree_order]
+    spans = []
+    col_slot = np.arange(1, d + 1)  # slot of each input, plan order
+    edges = np.arange(d + 2)
+    for layer, slot in zip(net.layers, slots):
+        order = np.argsort(slot, kind="stable")
+        slot = slot[order]
+        kept = layer.mask[np.ix_(order, orders[-1])] != 0
+        rows, cols = kept.shape
+        # one past the last input each unit reads, and the first unit
+        # reading each input, reduced over the units or inputs of a slot
+        prefix = np.zeros(d + 1, dtype=np.int64)
+        np.maximum.at(prefix, slot,
+                      np.where(kept.any(axis=1), cols - kept[:, ::-1].argmax(axis=1), 0))
+        suffix = np.full(d + 1, rows, dtype=np.int64)
+        np.minimum.at(suffix, col_slot,
+                      np.where(kept.any(axis=0), kept.argmax(axis=0), rows))
+        bounds = np.searchsorted(slot, edges)
+        spans.append(np.column_stack([bounds[:-1], bounds[1:], prefix, suffix]).tolist())
+        orders.append(order)
+        col_slot = slot
+    return SweepPlan(orders, spans)
 
 
 class AutoregressiveLayer:
@@ -207,7 +249,7 @@ class AutoregressiveLayer:
         self.direction = direction
         # dimension index processed at each degree step, ascending degree
         self.degree_order = np.argsort(self.degrees, kind="stable")
-        self._finals = _sweep_schedule(masked_net, self.degree_order)
+        self._plan = _sweep_schedule(masked_net, self.degree_order)
 
     @property
     def dim(self):
@@ -230,35 +272,41 @@ class AutoregressiveLayer:
         u = (w - mu) * np.exp(-s)
         return u, -s.sum(axis=1), (w, u, mu, s, th, cache)
 
+    def _plan_weights(self):
+        """Each net layer's weights and biases with rows and columns in plan
+        order."""
+        orders = self._plan.orders
+        return ([layer.weights[np.ix_(rows, cols)]
+                 for layer, cols, rows in zip(self.net.layers, orders, orders[1:])],
+                [layer.bias[rows, None] for layer, rows in zip(self.net.layers, orders[1:])])
+
     def _generate(self, u):
         """Inverse of _normalize in one sweep over the degrees.
 
-        Step t sets w_i (i = degree_order[t]) from net outputs i and d+i,
-        which read only hidden units final before step t, then computes the
-        hidden units that become final at step t.
+        Runs feature-major in plan order (see _sweep_schedule).  Slot s
+        computes the block of every hidden layer final in it from a prefix
+        of the layer below, then the output pair (2s, 2s+1) from a prefix of
+        the last hidden layer, which sets coordinate degree_order[s].
         """
-        d = self.dim
-        *hidden_layers, out_layer = self.net.layers
-        weights = [layer.weights for layer in self.net.layers]
-        w = np.zeros_like(u)
-        # acts[k] is the input of net layer k: w, then each hidden output
-        acts = [w] + [np.zeros((u.shape[0], layer.out_dim)) for layer in hidden_layers]
-
-        def finalize(units_per_layer):
-            for k, (layer, units) in enumerate(zip(hidden_layers, units_per_layer)):
-                if units.size:
-                    pre = acts[k] @ weights[k][units].T + layer.bias[units]
-                    acts[k + 1][:, units] = nn.act_forward(pre, layer.activation)
-
-        finalize(self._finals[0])
-        out_w = weights[-1].reshape(2, d, -1)
-        out_b = out_layer.bias.reshape(2, d)
-        for t, i in enumerate(self.degree_order):
-            pre = acts[-1] @ out_w[:, i].T + out_b[:, i]
-            shift, raw_scale = nn.act_forward(pre, out_layer.activation).T
-            w[:, i] = u[:, i] * np.exp(SCALE_CLAMP * np.tanh(raw_scale)) + shift
-            finalize(self._finals[t + 1])
-        return w
+        orders, spans = self._plan
+        *hidden, out = self.net.layers
+        weights, biases = self._plan_weights()
+        # acts[k] is the input of net layer k: w, then each hidden output;
+        # w starts as u and is overwritten one step at a time
+        acts = [u.T[orders[0]]] + [np.empty((layer.out_dim, u.shape[0])) for layer in hidden]
+        w = acts[0]
+        for s in range(self.dim + 1):
+            for k, layer in enumerate(hidden):
+                a, b, p, _ = spans[k][s]
+                if a < b:
+                    pre = weights[k][a:b, :p] @ acts[k][:p] + biases[k][a:b]
+                    acts[k + 1][a:b] = nn.act_forward(pre, layer.activation)
+            if s < self.dim:
+                a, b, p, _ = spans[-1][s]
+                pre = weights[-1][a:b, :p] @ acts[-1][:p] + biases[-1][a:b]
+                shift, raw_scale = nn.act_forward(pre, out.activation)
+                w[s] = w[s] * np.exp(SCALE_CLAMP * np.tanh(raw_scale)) + shift
+        return _from_plan_order(w, orders[0])
 
     # --- density-direction (forward) passes -------------------------------
 
@@ -301,42 +349,58 @@ class AutoregressiveLayer:
 
         h_i = z_i * exp(s_i) + mu_i with (mu, s) read from the finished h
         (the masks make that equal to the per-step values).  Walking the
-        steps backwards, step t first completes the adjoints of the hidden
-        units final at t, last layer first: everything that reads them was
-        handled at a later step or earlier in this one.  The adjoint of h_i
-        is then complete too; it fixes the upstream of net outputs i and
-        d+i.  Parameter gradients are linear in that upstream, so one
-        nn.backward over all of it gives them.
+        plan's slots backwards, slot s first completes the adjoint of
+        coordinate degree_order[s]: everything that reads it is final in a
+        later slot.  That fixes the upstream of the output pair (2s, 2s+1).
+        Then, last layer first, it completes the adjoints of the units
+        final in slot s from the suffix of the layer above that reads them.
+        Parameter gradients are linear in the upstream, so one nn.backward
+        over all of it gives them.
         """
         z, h, mu, s, th, net_cache = payload
-        d = self.dim
+        orders, spans = self._plan
         layers = self.net.layers
-        weights = [layer.weights for layer in layers]
+        weights, _ = self._plan_weights()
+        # feature-major, plan order: act_grads and pre-activation adjoints
+        # per net layer, and the per-coordinate terms in step order
         act_grads = [
-            np.broadcast_to(nn.act_grad(u, y, layer.activation), u.shape)
-            for layer, (_, u, y) in zip(layers, net_cache)
+            np.broadcast_to(nn.act_grad(u.T[rows], y.T[rows], layer.activation),
+                            (rows.size, u.shape[0]))
+            for layer, rows, (_, u, y) in zip(layers, orders[1:], net_cache)
         ]
-        # adjoints of each layer's pre-activations, filled in as they complete
-        g_pre = [np.zeros_like(u) for _, u, _ in net_cache]
-        upstream = np.zeros_like(g_pre[-1])
-        es = np.exp(s)
+        g_pre = [np.zeros((rows.size, g_h.shape[0])) for rows in orders[1:]]
+        upstream = np.empty_like(g_pre[-1])
+        order = orders[0]
+        g_z = g_h.T[order]  # row t: adjoint of h's coordinate, of z's from slot t on
+        z = z.T[order]
+        es = np.exp(s.T[order])
+        th = th.T[order]
         dth = SCALE_CLAMP * (1.0 - th * th)
-        g_z = np.empty_like(g_h)
-        for t in range(d - 1, -1, -1):
+        for slot in range(self.dim, -1, -1):
+            if slot < self.dim:
+                c = spans[0][slot + 1][3]
+                g_i = g_z[slot] + weights[0][c:, slot] @ g_pre[0][c:]
+                g_z[slot] = g_i * es[slot]
+                pair = slice(2 * slot, 2 * slot + 2)
+                upstream[pair] = g_i, (g_z[slot] * z[slot] + g_log_det) * dth[slot]
+                g_pre[-1][pair] = upstream[pair] * act_grads[-1][pair]
             for k in range(len(layers) - 2, -1, -1):
-                units = self._finals[t + 1][k]
-                if units.size:
-                    g_pre[k][:, units] = (g_pre[k + 1] @ weights[k + 1][:, units]
-                                          * act_grads[k][:, units])
-            i = self.degree_order[t]
-            g_i = g_h[:, i] + g_pre[0] @ weights[0][:, i]
-            g_z[:, i] = g_i * es[:, i]
-            upstream[:, i] = g_i
-            upstream[:, d + i] = (g_z[:, i] * z[:, i] + g_log_det) * dth[:, i]
-            cols = [i, d + i]
-            g_pre[-1][:, cols] = upstream[:, cols] * act_grads[-1][:, cols]
-        grads, _ = nn.backward(self.net, net_cache, upstream, inputs=False)
-        return g_z, grads
+                a, b, _, _ = spans[k][slot]
+                if a < b:
+                    c = spans[k + 1][slot][3]
+                    g_pre[k][a:b] = (weights[k + 1][c:, a:b].T @ g_pre[k + 1][c:]
+                                     * act_grads[k][a:b])
+        grads, _ = nn.backward(self.net, net_cache, _from_plan_order(upstream, orders[-1]),
+                               inputs=False)
+        return _from_plan_order(g_z, order), grads
+
+
+def _from_plan_order(x, order):
+    """(n, m) C-contiguous array from a feature-major (m, n) one whose row j
+    is feature order[j]."""
+    out = np.empty(x.shape[::-1])
+    out[:, order] = x.T
+    return out
 
 
 class FlowModel:

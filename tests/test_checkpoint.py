@@ -146,7 +146,7 @@ def _flow_structure(flow):
             out.append(("coupling", layer.mask, layer.idx_in, layer.idx_out))
         else:
             out.append(("ar", layer.degrees, layer.direction, layer.degree_order,
-                        [dense.mask for dense in layer.net.layers], layer._finals))
+                        [dense.mask for dense in layer.net.layers], layer._plan))
     return out
 
 

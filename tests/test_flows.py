@@ -367,7 +367,7 @@ def assert_close(actual, expected, rtol):
     assert np.max(np.abs(actual - expected)) <= rtol * scale
 
 
-@pytest.mark.parametrize("n", (1, 128))
+@pytest.mark.parametrize("n", (1, 128, 2048))
 @pytest.mark.parametrize("descending", (False, True))
 def test_sweep_matches_per_degree_reference(n, descending):
     rng = np.random.default_rng(19)
@@ -389,6 +389,24 @@ def test_sweep_matches_per_degree_reference(n, descending):
     assert len(grads) == len(ref_grads)
     for g, ref in zip(grads, ref_grads):
         assert_close(g, ref, 1e-12)
+
+
+@pytest.mark.parametrize("direction", ("maf", "iaf"))
+def test_sweep_returns_c_contiguous_rows(direction):
+    # a transposed view would send later matmuls down another BLAS path
+    rng = np.random.default_rng(24)
+    n, dim = 33, 6
+    layer = random_ar_layer(rng, np.arange(1, dim + 1)[::-1].copy(), hidden=10,
+                            direction=direction)
+    z = rng.standard_normal((n, dim))
+    h = layer._generate(z)
+    mu, s, th, net_cache = layer._params(h)
+    g_z, _ = layer._backward_generate((z, h, mu, s, th, net_cache),
+                                      rng.standard_normal((n, dim)), rng.standard_normal(n))
+    flow = flows.FlowModel([layer, layer], dim, direction)
+    for out in (h, g_z, flows.sample(flow, n, rng)):
+        assert out.shape == (n, dim)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
 
 
 def test_iaf_layer_gradients_match_finite_differences():
@@ -443,6 +461,57 @@ def test_sweep_round_trip_any_degree_order(dim, hidden, keep, seed):
     assert_close(back, reference_generate(layer, u), 1e-12)
 
 
+def reads_later_input(net, degree_order):
+    """Whether some net output i or d+i depends, through any chain of kept
+    weights, on an input set no earlier than coordinate i."""
+    d = degree_order.size
+    reach = np.eye(d)
+    for dense in net.layers:
+        reach = (dense.mask @ reach > 0).astype(float)
+    step = np.argsort(degree_order)
+    later = step[None, :] >= step[:, None]
+    return bool(np.any(reach.reshape(2, d, d).any(axis=0) & later))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=10),
+    hidden=st.integers(min_value=1, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sweep_plan_blocks_cover_every_kept_weight(dim, hidden, seed):
+    rng = np.random.default_rng(seed)
+    degrees = rng.permutation(dim) + 1
+    layer = random_ar_layer(rng, degrees, hidden, keep=0.6)
+    orders, spans = layer._plan
+    assert np.array_equal(orders[0], layer.degree_order)
+    assert np.array_equal(orders[-1].reshape(dim, 2).T,
+                          [layer.degree_order, layer.degree_order + dim])
+    # inputs: slot 0 holds none, slot s + 1 the coordinate set at step s
+    below = [(max(s - 1, 0), s) for s in range(dim + 1)]
+    for dense, cols, rows, span in zip(layer.net.layers, orders, orders[1:], spans):
+        a, b, prefix, suffix = np.asarray(span).T
+        # the slot blocks tile the layer: each unit lies in exactly one
+        assert np.array_equal(np.sort(rows), np.arange(dense.out_dim))
+        assert a[0] == 0 and b[-1] == dense.out_dim and np.array_equal(a[1:], b[:-1])
+        assert np.all(a <= b)
+        row_slot = np.repeat(np.arange(dim + 1), b - a)
+        col_slot = np.repeat(np.arange(dim + 1), [hi - lo for lo, hi in below])
+        for r, c in zip(*np.nonzero(dense.mask[np.ix_(rows, cols)])):
+            # a kept weight reads an input final by its unit's slot, inside
+            # the block's prefix, and its unit lies in the input's suffix
+            assert col_slot[c] <= row_slot[r]
+            assert c < prefix[row_slot[r]] <= below[row_slot[r]][1]
+            assert r >= suffix[col_slot[c]]
+        below = list(zip(a, b))
+    other = rng.permutation(dim) + 1
+    if reads_later_input(layer.net, np.argsort(other, kind="stable")):
+        with pytest.raises(ShapeError):
+            flows.AutoregressiveLayer(layer.net, other)
+    else:
+        flows.AutoregressiveLayer(layer.net, other)
+
+
 def test_sweep_makes_no_full_net_passes(monkeypatch):
     rng = np.random.default_rng(21)
     layer = random_ar_layer(rng, np.arange(1, 17), hidden=16)
@@ -481,3 +550,10 @@ def test_masks_must_match_degree_order():
     unmasked = nn.build_mlp(rng, [4, 8, 8], ["tanh", "identity"])
     with pytest.raises(ShapeError):
         flows.AutoregressiveLayer(unmasked, [1, 2, 3, 4])
+    # outputs that read their own coordinate's degree, and nothing later
+    masks = flows.made_masks(np.arange(1, 5), [8])
+    masks[-1] = (np.tile(np.arange(1, 5), 2)[:, None] >= np.arange(8)[None, :] % 3 + 1)
+    own_degree = nn.build_mlp(rng, [4, 8, 8], ["tanh", "identity"],
+                              masks=[m.astype(float) for m in masks])
+    with pytest.raises(ShapeError):
+        flows.AutoregressiveLayer(own_degree, [1, 2, 3, 4])
